@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -64,6 +65,27 @@ def _load_config(args, required, optional):
     return cfg
 
 
+def _config_int(value, key, low):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"'{key}' must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _config_float(value, key, positive=False):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        kind = "positive" if positive else "finite"
+        raise ConfigError(f"'{key}' must be a {kind} number, got {value!r}")
+    return float(value)
+
+
+def _config_list(value, key, length):
+    if not isinstance(value, list) or len(value) != length:
+        raise ConfigError(f"'{key}' must be a list of {length} numbers, "
+                          f"got {value!r}")
+    return value
+
+
 def _symbol(cfg, key="symbol", dim_key="dim"):
     return parse_symbol(cfg[key], int(cfg.get(dim_key, 1)))
 
@@ -80,12 +102,11 @@ def _build_operator(cfg):
     """Shared quantization from a config block."""
     p = _symbol(cfg)
     path = cfg.get("path", "hermite")
-    h = float(cfg["h"])
+    h = _config_float(cfg["h"], "h", positive=True)
+    M = _config_int(cfg["M"], "M", 1)
     if path == "hermite":
-        return weyl_quantize_poly(p, HermiteBasis(int(cfg["M"]),
-                                                  n=int(cfg.get("dim", 1))), h)
-    grid = FourierGrid(float(cfg.get("L", 8.0)), int(cfg["M"]),
-                       n=int(cfg.get("dim", 1)))
+        return weyl_quantize_poly(p, HermiteBasis(M, n=int(cfg.get("dim", 1))), h)
+    grid = FourierGrid(float(cfg.get("L", 8.0)), M, n=int(cfg.get("dim", 1)))
     if path == "grid":
         lim = cfg.get("xi_limit", "auto")
         return weyl_quantize_grid(p, grid, h, xi_limit=lim,
@@ -208,9 +229,15 @@ def cmd_psgrid(args):
                        optional=["dim", "path", "L", "xi_limit", "tail_tol",
                                  "seed", "levels"])
     with _Run(args.out) as run:
+        rect = [_config_float(v, "rectangle")
+                for v in _config_list(cfg["rectangle"], "rectangle", 4)]
+        if not (rect[1] > rect[0] and rect[3] > rect[2]):
+            raise ConfigError(f"'rectangle' needs re_max > re_min and "
+                              f"im_max > im_min, got {rect}")
+        shape = [_config_int(n, "shape", 2)
+                 for n in _config_list(cfg["shape"], "shape", 2)]
         op = _build_operator(cfg)
-        grid = pseudospectrum_grid(op, cfg["rectangle"], cfg["shape"],
-                                   threads=args.threads)
+        grid = pseudospectrum_grid(op, rect, shape, threads=args.threads)
         io.grid_to_csv(run.path("grid.csv"), grid)
         io.grid_to_pgm(run.path("grid.pgm"), grid, run.path("grid_pgm.json"))
         if cfg.get("levels"):

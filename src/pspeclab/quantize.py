@@ -571,7 +571,7 @@ def fbi_transform(u, grid: FourierGrid, h: float, x_out, xi_out,
             f"window leakage: |u| at the boundary is {edge / amax:.2e} of max")
     x_out = np.asarray(x_out, dtype=float)
     xi_out = np.asarray(xi_out, dtype=float)
-    key = (id(grid), grid.M, grid.L, float(h))
+    key = (grid, float(h))
     if key not in _FBI_CAL_CACHE:
         _FBI_CAL_CACHE[key] = _fbi_calibration(grid, h)
     cal = _FBI_CAL_CACHE[key]

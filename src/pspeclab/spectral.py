@@ -2,16 +2,15 @@
 sweeps with Schur reuse, pseudospectrum grids, contours and scaling fits.
 
 sigma_min(P - z) is the reciprocal of the resolvent norm and the
-computational currency of every experiment here.  One complex Schur
-factorization P = Q T Q* is shared by all grid nodes; per node an
-inverse iteration on the triangular factor costs O(M^2) instead of the
-O(M^3) of a full SVD.
+computational currency of every experiment here.  One inverse-iteration
+driver serves any set of shifts.  A grid shares one complex Schur factor
+P = Q T Q*, and all its shifts advance together at O(M^2) per step each,
+instead of the O(M^3) of a full SVD; a single shift may use an LU factor.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,93 +96,108 @@ def eigendecompose(P: OperatorMatrix, residual_tol=RESIDUAL_TOL,
 # ---------------------------------------------------------------------------
 # sigma_min
 
+SIGMA_TOL = 1e-10        # relative agreement that stops inverse iteration
+SIGMA_MAX_ITER = 50
+_BLOCK = 32              # diagonal block size of the Schur substitution
+_SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
+
+
 def _sigma_min_svd(A):
     return float(scipy.linalg.svdvals(A)[-1])
 
 
-def _seed_vector(size, seed=2024):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return v / np.linalg.norm(v)
-
-
-def _sigma_min_triangular(T, z, v0, tol=1e-10, max_iter=50):
-    """Inverse iteration for the smallest singular value of T - z
-    (T upper triangular): power iteration on (A* A)^-1 via two
-    triangular solves per step.  Deterministic given v0."""
+def _schur_solves(A):
+    """Solve pair on the complex Schur factor T of A: column j of X
+    becomes ((T - z_j)^H (T - z_j))^{-1} x_j, in place.  The off-diagonal
+    blocks of T - z_j do not depend on z_j, so one GEMM updates every
+    shift; only the diagonal blocks are solved per shift, row by row."""
+    T = scipy.linalg.schur(A, output="complex")[0]
     M = T.shape[0]
-    A = T.copy()
-    idx = np.arange(M)
-    A[idx, idx] -= z
-    (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (A,))
-    v = v0.copy()
-    sigma_prev = None
-    sigma_prev2 = None
-    for _ in range(max_iter):
-        w, info1 = trtrs(A, v, trans=2)      # A^H w = v
-        u, info2 = trtrs(A, w, trans=0)      # A   u = w
-        if info1 != 0 or info2 != 0:
-            raise ConvergenceError("triangular solve failed (z on spectrum)")
-        nu = np.linalg.norm(u)
-        if not np.isfinite(nu) or nu == 0.0:
-            raise ConvergenceError("inverse iteration blew up")
-        sigma = 1.0 / np.sqrt(nu)
-        if sigma_prev2 is not None:
-            if (abs(sigma - sigma_prev) <= tol * sigma
-                    and abs(sigma - sigma_prev2) <= tol * sigma):
-                return sigma
-        sigma_prev2 = sigma_prev
-        sigma_prev = sigma
-        v = u / nu
-    raise ConvergenceError("inverse iteration did not converge")
+    TH = np.ascontiguousarray(T.conj().T)
+    d = np.diag(T)
+    blocks = [(s, min(s + _BLOCK, M)) for s in range(0, M, _BLOCK)]
+
+    def solve(X, zs):
+        for s, e in blocks:                  # (T - z)^H Y = X, top down
+            X[s:e] -= TH[s:e, :s] @ X[:s]
+            for i in range(s, e):
+                X[i] = (X[i] - TH[i, s:i] @ X[s:i]) / np.conj(d[i] - zs)
+        for s, e in reversed(blocks):        # (T - z) U = Y, bottom up
+            X[s:e] -= T[s:e, e:] @ X[e:]
+            for i in range(e - 1, s - 1, -1):
+                X[i] = (X[i] - T[i, i + 1:e] @ X[i + 1:e]) / (d[i] - zs)
+        return X
+
+    return solve
 
 
-def _sigma_min_lu(A, z, tol=1e-11, max_iter=200):
-    """Inverse iteration on (A-z)^H (A-z) through one LU factorization;
-    the cheap route for a single z on a large matrix."""
+def _lu_solves(A, z):
+    """Solve pair for one shift z through an LU factor of A - z.  A zero
+    pivot (z on the spectrum) makes the solves non-finite."""
+    B = A - complex(z) * np.eye(A.shape[0])
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
+    lu, piv, _ = getrf(B)
+    return lambda X, zs: getrs(lu, piv, getrs(lu, piv, X)[0], trans=2)[0]
+
+
+def _sigma_min_shifts(A, zs, solve, strict=False):
+    """sigma_min(A - z) for every shift z in zs by inverse iteration.
+
+    solve(X, zs) maps column j of X to (B_j^H B_j)^{-1} x_j, with B_j
+    unitarily similar to A - z_j or its adjoint, and may overwrite X.
+    Blocks of shifts advance together from one seed vector; a shift
+    leaves the active set once its estimate agrees to SIGMA_TOL with the
+    two before it.  A non-finite or zero solve, or SIGMA_MAX_ITER steps,
+    fails a shift: it takes the SVD of A - z (or raises ConvergenceError
+    when strict).  Returns (sigma, number of SVD fallbacks).
+    """
+    zs = np.asarray(zs, dtype=complex)
     M = A.shape[0]
-    lu, piv = scipy.linalg.lu_factor(A - z * np.eye(M))
-    v = _seed_vector(M)
-    prev = None
-    for _ in range(max_iter):
-        x = scipy.linalg.lu_solve((lu, piv), v, trans=0)
-        y = scipy.linalg.lu_solve((lu, piv), x, trans=2)
-        nu = np.linalg.norm(y)
-        if not np.isfinite(nu) or nu == 0.0:
-            raise ConvergenceError("LU inverse iteration blew up")
-        sigma = nu ** -0.5
-        if prev is not None and abs(sigma - prev) <= tol * sigma:
-            return float(sigma)
-        prev = sigma
-        v = y / nu
-    raise ConvergenceError("LU inverse iteration did not converge")
+    sigma = np.full(zs.size, np.nan)
+    rng = np.random.default_rng(2024)
+    seed = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    width = max(1, _SHIFT_ENTRIES // M)
+    with np.errstate(all="ignore"):
+        for lo in range(0, zs.size, width):
+            active = np.arange(lo, min(lo + width, zs.size))
+            X = np.repeat(seed[:, None] / np.linalg.norm(seed), active.size, 1)
+            prev = prev2 = np.full(active.size, np.nan)
+            for _ in range(SIGMA_MAX_ITER):
+                X = solve(X, zs[active])
+                nu = np.linalg.norm(X, axis=0)
+                s = 1.0 / np.sqrt(nu)
+                live = np.isfinite(nu) & (nu > 0)
+                done = (live & (abs(s - prev) <= SIGMA_TOL * s)
+                        & (abs(s - prev2) <= SIGMA_TOL * s))
+                sigma[active[done]] = s[done]
+                keep = live & ~done
+                if not keep.any():
+                    break
+                active, X = active[keep], X[:, keep] / nu[keep]
+                prev, prev2 = s[keep], prev[keep]
+    failed = np.flatnonzero(np.isnan(sigma))
+    if strict and failed.size:
+        raise ConvergenceError("inverse iteration did not converge")
+    for k in failed:
+        sigma[k] = _sigma_min_svd(A - zs[k] * np.eye(M))
+    return sigma, failed.size
 
 
 def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
                    method: str = "auto"):
     """sigma_min(P - z I) = 1 / ||(P - z)^{-1}||.
 
-    method "svd" is the reference path; "schur" runs the fast inverse
-    iteration on a Schur factor; "lu" runs it through an LU
-    factorization (cheapest for one z on a large matrix); "auto" tries
-    the Schur path and falls back to the SVD on non-convergence.
+    method "svd" is the reference path.  The others run inverse
+    iteration: "auto" on a Schur factor and "lu" on an LU factor
+    (cheapest for one z on a large matrix), both falling back to the
+    SVD on failure; "schur" raises ConvergenceError instead.
     """
     A = P.matrix if isinstance(P, OperatorMatrix) else np.asarray(P)
     if method == "svd":
         return _sigma_min_svd(A - z * np.eye(A.shape[0]))
-    if method == "lu":
-        try:
-            return _sigma_min_lu(A, z)
-        except ConvergenceError:
-            return _sigma_min_svd(A - z * np.eye(A.shape[0]))
-    T = scipy.linalg.schur(A, output="complex")[0]
-    v0 = _seed_vector(A.shape[0])
-    try:
-        return _sigma_min_triangular(T, z, v0)
-    except ConvergenceError:
-        if method == "schur":
-            raise
-        return _sigma_min_svd(A - z * np.eye(A.shape[0]))
+    solve = _lu_solves(A, z) if method == "lu" else _schur_solves(A)
+    sigma, _ = _sigma_min_shifts(A, [z], solve, strict=method == "schur")
+    return float(sigma[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +223,11 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     """sigma_min(P - z) over a rectangular z-grid.
 
     rectangle = (re_min, re_max, im_min, im_max); shape = (n_re, n_im).
-    One Schur factorization is reused by every node; nodes that fail the
-    inverse iteration fall back to a full SVD (count logged in timing).
-    Output is deterministic and independent of the thread count.
+    One Schur factorization serves every node; the nodes advance
+    together through the blocked inverse iteration, and nodes that fail
+    it fall back to a full SVD (count logged in timing).  force_svd
+    takes the SVD at every node.  threads is only recorded in timing:
+    neither the work nor the output depends on it.
     """
     re_min, re_max, im_min, im_max = map(float, rectangle)
     n_re, n_im = shape
@@ -220,40 +236,22 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     re = np.linspace(re_min, re_max, n_re)
     im = np.linspace(im_min, im_max, n_im)
     A = P.matrix
-    M = A.shape[0]
-    opnorm = P.norm() if isinstance(P, OperatorMatrix) else np.linalg.norm(A, 2)
-    floor = FLOOR_FACTOR * np.finfo(float).eps * max(opnorm, 1e-300)
+    floor = FLOOR_FACTOR * np.finfo(float).eps * max(P.norm(), 1e-300)
+    zs = (re[:, None] + 1j * im[None, :]).ravel()
     t0 = time.perf_counter()
-    fallbacks = 0
     if force_svd:
-        T = A
-        v0 = None
+        t1 = time.perf_counter()
+        eye = np.eye(A.shape[0])
+        sigma, fallbacks = np.array([_sigma_min_svd(A - z * eye) for z in zs]), 0
     else:
-        T = scipy.linalg.schur(A, output="complex")[0]
-        v0 = _seed_vector(M)
-    t_factor = time.perf_counter() - t0
-
-    def node(z):
-        if force_svd:
-            return _sigma_min_svd(A - z * np.eye(M)), 0
-        try:
-            return _sigma_min_triangular(T, z, v0), 0
-        except ConvergenceError:
-            return _sigma_min_svd(T - z * np.eye(M)), 1
-
-    zs = [complex(r, i) for r in re for i in im]
-    t1 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(node, zs))
-    else:
-        results = [node(z) for z in zs]
+        solve = _schur_solves(A)
+        t1 = time.perf_counter()
+        sigma, fallbacks = _sigma_min_shifts(A, zs, solve)
     t_sweep = time.perf_counter() - t1
-    sigma = np.array([r[0] for r in results]).reshape(n_re, n_im)
-    fallbacks = sum(r[1] for r in results)
+    sigma = sigma.reshape(n_re, n_im)
     floored = sigma < floor
     sigma = np.where(floored, floor, sigma)
-    timing = {"factorization_s": t_factor, "sweep_s": t_sweep,
+    timing = {"factorization_s": t1 - t0, "sweep_s": t_sweep,
               "nodes": n_re * n_im, "svd_fallbacks": fallbacks,
               "threads": threads, "force_svd": force_svd}
     return ResolventGrid(re, im, sigma, floored, P.h, floor, timing)

@@ -86,6 +86,28 @@ def test_psgrid_artifacts_and_determinism(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+PSGRID_OK = {"symbol": "xi1^2+xi1*1i+x1^2", "h": 0.1, "M": 16,
+             "rectangle": [0.0, 1.0, -0.4, 0.4], "shape": [4, 3]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("M", "abc"), ("M", 0), ("M", [3]), ("M", 2.5), ("M", True),
+    ("h", -0.1), ("h", 0), ("h", "abc"), ("h", float("nan")),
+    ("shape", [6.5, 5]), ("shape", [1, 5]), ("shape", [4]), ("shape", 4),
+    ("rectangle", [1.0, 0.0, -0.4, 0.4]), ("rectangle", [0.0, 1.0, 0.4, 0.4]),
+    ("rectangle", [0.0, 1.0, -0.4]), ("rectangle", [0.0, "x", -0.4, 0.4]),
+    ("rectangle", [0.0, float("inf"), -0.4, 0.4]),
+])
+def test_psgrid_malformed_config_exits_2(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PSGRID_OK, key: value}))
+    out = tmp_path / "bad"
+    assert run_cli(["psgrid", "--config", str(path), "--out", str(out)]) == 2
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["error"].startswith("ConfigError") and man["artifacts"] == {}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_weight_command(tmp_path):
     cfg = {"symbol": "xi1 + 1i*(x1^2 - 1)", "z0": [0.0, 0.0],
            "box": [[-2.5, 2.5], [-2.5, 2.5]], "T0": 5.0}

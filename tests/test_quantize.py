@@ -290,6 +290,18 @@ def test_fbi_ground_state_localized():
         np.exp(-0.25 / (2 * h2)), rel=0.1)
 
 
+def test_fbi_calibration_cached_per_grid_value(monkeypatch):
+    from pspeclab import quantize
+
+    monkeypatch.setattr(quantize, "_FBI_CAL_CACHE", {})
+    h = 0.05
+    x_out = np.linspace(-1, 1, 21)
+    for grid in (FourierGrid(4.0, 128), FourierGrid(4.0, 128)):
+        u = np.exp(-grid.points_1d() ** 2 / (2 * h)).astype(complex)
+        fbi_transform(u, grid, h, x_out, x_out)
+    assert len(quantize._FBI_CAL_CACHE) == 1
+
+
 def test_wick_quadrature_window_guard():
     from pspeclab.errors import GridResolutionError
 

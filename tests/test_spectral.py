@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pspeclab.errors import PspecError
+from pspeclab import spectral
+from pspeclab.errors import ConvergenceError, PspecError
 from pspeclab.quantize import HermiteBasis, OperatorMatrix, weyl_quantize_poly
 from pspeclab.spectral import (
     contour_extract,
@@ -68,7 +69,8 @@ def test_resolvent_norm_hermitian_distance():
         assert smin == pytest.approx(dist, abs=1e-10)
 
 
-def test_fast_path_matches_svd_random():
+@pytest.mark.parametrize("method", ["auto", "schur", "lu"])
+def test_fast_path_matches_svd_random(method):
     rng = np.random.default_rng(1)
     for _ in range(20):
         M = 40
@@ -76,8 +78,32 @@ def test_fast_path_matches_svd_random():
         op = _raw_operator(A)
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         s1 = resolvent_norm(op, z, method="svd")
-        s2 = resolvent_norm(op, z, method="auto")
+        s2 = resolvent_norm(op, z, method=method)
         assert abs(s1 - s2) <= 1e-8 * max(s1, 1e-12)
+
+
+def test_resolvent_norm_at_an_eigenvalue():
+    # z = 0.3 = 3h is an eigenvalue: the solves hit a zero pivot
+    op = weyl_quantize_poly(OSC, HermiteBasis(64), h=0.1)
+    ref = resolvent_norm(op, 0.3, method="svd")
+    assert resolvent_norm(op, 0.3, method="lu") == ref
+    assert resolvent_norm(op, 0.3, method="auto") == ref
+    with pytest.raises(ConvergenceError):
+        resolvent_norm(op, 0.3, method="schur")
+
+
+@pytest.mark.parametrize("shifts_per_block", [None, 7])
+def test_grid_nodes_match_single_shift(monkeypatch, shifts_per_block):
+    # near this corner inverse iteration stalls at some nodes and not at
+    # others, so converged and fallback shifts share a block
+    op = weyl_quantize_poly(ROT, HermiteBasis(60), h=0.05)
+    if shifts_per_block:
+        monkeypatch.setattr(spectral, "_SHIFT_ENTRIES", 60 * shifts_per_block)
+    grid = pseudospectrum_grid(op, (-0.6, -0.4, -1.1, -0.9), (5, 5))
+    assert 0 < grid.timing["svd_fallbacks"] < grid.sigma.size
+    for z, sigma in zip(grid.node_values().ravel(), grid.sigma.ravel()):
+        ref = max(resolvent_norm(op, z, method="auto"), grid.floor)
+        assert sigma == pytest.approx(ref, rel=1e-12)
 
 
 def _fourier_collocation(h, N=512, L=8.0):
