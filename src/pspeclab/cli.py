@@ -1,13 +1,19 @@
 """Command-line driver: reproducible experiments from JSON configs.
 
-Every run writes its artifacts plus a manifest.json echoing the fully
-resolved config and the sha256 of each artifact.  Exit codes: 0 success,
-2 config error, 3 numerical failure (diagnostics in the manifest).
+Every key a subcommand accepts is declared once in `_SCHEMA`, with the
+check of its type and range and its default.  `_load_config` applies
+the table before any numerics runs: unknown, missing and malformed keys
+and config files that cannot be read as a JSON object are config errors.
+Every run writes its artifacts plus a manifest.json echoing the resolved
+config (defaults included) and the sha256 of each artifact.  Exit codes:
+0 success, 2 config error, 3 numerical failure or any other exception
+escaping a run (diagnostics in the manifest, partial artifacts removed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -18,8 +24,7 @@ import numpy as np
 
 from . import artifacts as io
 from .classical import sample_symbol_range, sigma_infinity
-from .errors import ConfigError, PspecError, SymbolSyntaxError, \
-    VariableIndexError
+from .errors import ConfigError, SymbolSyntaxError, VariableIndexError
 from .quantize import (
     FourierGrid,
     HermiteBasis,
@@ -29,7 +34,10 @@ from .quantize import (
     weyl_quantize_poly,
     wick_quantize,
 )
-from .quasimodes import build_quasimode, localization_report, residual_sweep
+from .quasimodes import _grid_for_beam, build_quasimode, localization_report, \
+    residual_sweep
+from .repro import rational_resolvent_experiment, resolvent_decay_experiment, \
+    run_reproduction_suite, subelliptic_experiment
 from .spectral import contour_extract, eigendecompose, pseudospectrum_grid
 from .symbols import parse_symbol
 from .weights import conjugate_operator, dissipative_build, \
@@ -39,83 +47,246 @@ DEFAULT_SEED = 2024
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config checks.  Each takes (value, cfg), where cfg holds the checked values
+# of the keys declared above it, and returns the typed value or raises
+# ConfigError.
 
-def _check_keys(cfg, required, optional, where):
-    unknown = set(cfg) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
-    missing = set(required) - set(cfg)
-    if missing:
-        raise ConfigError(f"missing config keys in {where}: {sorted(missing)}")
+def _number(positive=False):
+    kind = "positive" if positive else "finite"
+
+    def check(v, cfg=None):
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v) or (positive and v <= 0)):
+            raise ConfigError(f"must be a {kind} number, got {v!r}")
+        return float(v)
+    return check
 
 
-def _load_config(args, required, optional):
+_finite = _number()
+_positive = _number(positive=True)
+
+
+def _int(low):
+    def check(v, cfg=None):
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            raise ConfigError(f"must be an integer >= {low}, got {v!r}")
+        return v
+    return check
+
+
+def _one_of(*options):
+    def check(v, cfg=None):
+        if not any(type(v) is type(o) and v == o for o in options):
+            raise ConfigError(f"must be one of {list(options)}, got {v!r}")
+        return v
+    return check
+
+
+def _list_of(item, length=None, min_len=0):
+    def check(v, cfg=None):
+        if (not isinstance(v, list) or len(v) < min_len
+                or (length is not None and len(v) != length)):
+            count = f"at least {min_len}" if length is None else length
+            raise ConfigError(f"must be a list of {count} values, got {v!r}")
+        return [item(x, cfg) for x in v]
+    return check
+
+
+def _optional(check):
+    """null or an empty list or object, like leaving the key out, switches
+    the feature off."""
+    return lambda v, cfg: None if v in (None, [], {}) else check(v, cfg)
+
+
+def _symbol(v, cfg):
+    if not isinstance(v, str):
+        raise ConfigError(f"must be a symbol string, got {v!r}")
+    return parse_symbol(v, cfg["dim"])
+
+
+def _complex(v, cfg=None):
+    """[re, im], {"re": re, "im": im}, a real number or a string like "2+1j"."""
+    if isinstance(v, dict) and sorted(v) == ["im", "re"]:
+        v = [v["re"], v["im"]]
+    elif isinstance(v, str):
+        try:
+            z = complex(v)
+        except ValueError:
+            raise ConfigError(f"must be a complex number, got {v!r}") from None
+        v = [z.real, z.imag]
+    elif not isinstance(v, list):
+        v = [v, 0.0]
+    return complex(*_list_of(_finite, length=2)(v))
+
+
+def _xi_limit(v, cfg):
+    """The xi-limit: "auto", null (no limit subtracted), a number or a string
+    like "2+1j"."""
+    if v is None or v == "auto":
+        return v
+    if not isinstance(v, (int, float, str)):
+        raise ConfigError(f"must be \"auto\", null, a number or a complex "
+                          f"string, got {v!r}")
+    return _complex(v)
+
+
+def _ranges(v, count):
+    """`count` (lo, hi) ranges, given flat as [lo, hi, lo, hi, ...]."""
+    flat = _list_of(_finite, length=2 * count)(v)
+    pairs = list(zip(flat[::2], flat[1::2]))
+    if not all(hi > lo for lo, hi in pairs):
+        raise ConfigError(f"needs hi > lo in every range, got {pairs}")
+    return pairs
+
+
+def _box(v, cfg):
+    """2*dim (lo, hi) ranges, as [[lo, hi], ...] or flat [lo, hi, lo, hi, ...]."""
+    if isinstance(v, list) and all(isinstance(r, list) for r in v):
+        v = [x for r in v for x in _list_of(_finite, length=2)(r)]
+    return _ranges(v, 2 * cfg["dim"])
+
+
+def _rectangle(v, cfg):
+    """[re_min, re_max, im_min, im_max]."""
+    return [x for pair in _ranges(v, 2) for x in pair]
+
+
+def _cone(v, cfg):
+    if not isinstance(v, dict) or sorted(v) != ["aperture", "direction", "z0"]:
+        raise ConfigError(f"must hold exactly z0, direction and aperture, got {v!r}")
+    return {"z0": _complex(v["z0"]), "direction": _finite(v["direction"]),
+            "aperture": _positive(v["aperture"])}
+
+
+def _needed_by(experiment, check):
+    """A scaling key that `experiment` needs and the other experiments ignore."""
+    def run(v, cfg):
+        if v is None and cfg["experiment"] == experiment:
+            raise ConfigError(f"is needed by experiment '{experiment}'")
+        return None if v is None else check(v, cfg)
+    return run
+
+
+def _scaling_M(v, cfg):
+    """Grid points (subelliptic) or Hermite modes (resolvent-decay)."""
+    if v is None:
+        return {"subelliptic": 256, "resolvent-decay": 200}.get(cfg["experiment"])
+    return _int(1)(v)
+
+
+# ---------------------------------------------------------------------------
+# the schema: {subcommand: {key: (check, default or REQUIRED)}}.  Keys are
+# checked in table order, so `dim` precedes the keys parsed or sized by it.
+# `seed` is recorded in the manifest; no run draws random numbers from it.
+
+REQUIRED = object()
+
+_DIM = (_int(1), 1)
+_SEED = (_int(0), DEFAULT_SEED)
+_BASE = {"dim": _DIM, "symbol": (_symbol, REQUIRED), "seed": _SEED}
+_H_LIST = (_list_of(_positive, min_len=1), REQUIRED)
+# the beam is sampled on a 1-D grid, so quasimode and fbi run in one dimension
+_BEAM_DIM = (_one_of(1), 1)
+_POINT = (_list_of(_finite, length=2), REQUIRED)     # (x, xi)
+_OPERATOR = {
+    **_BASE, "h": (_positive, REQUIRED), "M": (_int(1), REQUIRED),
+    "path": (_one_of("hermite", "grid", "schrodinger", "wick"), "hermite"),
+    "L": (_positive, 8.0)}
+_XI_LIMIT = {"xi_limit": (_xi_limit, "auto"), "tail_tol": (_positive, 0.01)}
+
+_SCHEMA = {
+    "classify": {
+        **_BASE, "box": (_box, REQUIRED), "res": (_int(2), REQUIRED),
+        "sigma_radii": (_optional(_list_of(_positive, min_len=3)), None),
+        "cone": (_optional(_cone), None)},
+    "quantize": {**_OPERATOR, **_XI_LIMIT},
+    "spectrum": {**_OPERATOR, **_XI_LIMIT},
+    "psgrid": {
+        **_OPERATOR, **_XI_LIMIT, "rectangle": (_rectangle, REQUIRED),
+        "shape": (_list_of(_int(2), length=2), REQUIRED),
+        "levels": (_optional(_list_of(_positive)), None)},
+    "quasimode": {
+        **_BASE, "dim": _BEAM_DIM, "point": _POINT, "order": (_int(0), REQUIRED),
+        "delta": (_positive, REQUIRED), "h_list": _H_LIST,
+        "path": (_one_of("grid", "hermite"), "grid"),
+        "model": (_one_of("power", "exponential"), "power"),
+        "fbi": (_one_of(False, True), False)},
+    "scaling": {
+        "experiment": (_one_of("subelliptic", "resolvent-decay", "rational"),
+                       REQUIRED),
+        "dim": _DIM, "seed": _SEED,
+        "symbol": (_needed_by("resolvent-decay", _symbol), None),
+        "z": (_needed_by("resolvent-decay", _complex), None),
+        "k": (_needed_by("subelliptic", _int(1)), None),
+        "h_list": _H_LIST, "M": (_scaling_M, None),
+        # accepted and ignored, as they always were
+        "L": (_optional(_positive), None),
+        "model": (_optional(_one_of("power", "exponential")), None)},
+    "weight": {
+        **_BASE, "z0": (_complex, REQUIRED), "box": (_box, REQUIRED),
+        "T0": (_positive, REQUIRED), "exit_tol": (_positive, 1e-3)},
+    "conjugate": {
+        **_OPERATOR, "weight": (_symbol, REQUIRED), "eps": (_finite, REQUIRED),
+        "z_list": (_list_of(_complex), []), "cond_cap": (_positive, 1e12)},
+    "dissipative": {
+        "dim": _DIM, "seed": _SEED,
+        "q": (_symbol, REQUIRED), "a": (_symbol, REQUIRED),
+        "h": (_positive, REQUIRED), "M": (_int(1), REQUIRED),
+        "z_list": (_optional(_list_of(_complex)), None)},
+    "fbi": {
+        **_BASE, "dim": _BEAM_DIM, "point": _POINT, "h": (_positive, REQUIRED),
+        "order": (_int(0), 0), "delta": (_positive, 0.5),
+        "span": (_positive, 1.5), "out_points": (_int(2), 81)},
+}
+
+
+def _load_config(args):
+    """Check the subcommand's config (flags override the file) against
+    `_SCHEMA`.  Returns (cfg, echo): the typed values the run reads, and
+    the config as given plus every default, for the manifest."""
+    raw = {}
     if args.config:
-        with open(args.config) as f:
-            cfg = json.load(f)
-    else:
-        cfg = {}
+        try:
+            with open(args.config) as f:
+                raw = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file must hold a JSON object, "
+                              f"got {type(raw).__name__}")
     for key, val in vars(args).items():
         if key in ("command", "config", "out", "threads", "func") or val is None:
             continue
-        cfg[key] = val
-    _check_keys(cfg, required, optional, args.command)
-    cfg.setdefault("seed", DEFAULT_SEED)
-    return cfg
-
-
-def _config_int(value, key, low):
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"'{key}' must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _config_float(value, key, positive=False):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (positive and value <= 0)):
-        kind = "positive" if positive else "finite"
-        raise ConfigError(f"'{key}' must be a {kind} number, got {value!r}")
-    return float(value)
-
-
-def _config_list(value, key, length):
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(f"'{key}' must be a list of {length} numbers, "
-                          f"got {value!r}")
-    return value
-
-
-def _symbol(cfg, key="symbol", dim_key="dim"):
-    return parse_symbol(cfg[key], int(cfg.get(dim_key, 1)))
-
-
-def _complex_of(v):
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    if isinstance(v, dict):
-        return complex(v["re"], v["im"])
-    return complex(v)
+        raw[key] = val
+    schema = _SCHEMA[args.command]
+    unknown = sorted(set(raw) - set(schema))
+    missing = [key for key, (_, default) in schema.items()
+               if default is REQUIRED and key not in raw]
+    if unknown or missing:
+        raise ConfigError(f"{args.command} config: unknown keys {unknown}, "
+                          f"missing keys {missing}")
+    cfg, echo = {}, {}
+    for key, (check, default) in schema.items():
+        try:
+            cfg[key] = check(raw.get(key, default), cfg)
+        except (ConfigError, SymbolSyntaxError, VariableIndexError) as exc:
+            raise ConfigError(f"'{key}' {exc}") from exc
+        echo[key] = raw[key] if key in raw else cfg[key]
+    return cfg, echo
 
 
 def _build_operator(cfg):
-    """Shared quantization from a config block."""
-    p = _symbol(cfg)
-    path = cfg.get("path", "hermite")
-    h = _config_float(cfg["h"], "h", positive=True)
-    M = _config_int(cfg["M"], "M", 1)
-    if path == "hermite":
-        return weyl_quantize_poly(p, HermiteBasis(M, n=int(cfg.get("dim", 1))), h)
-    grid = FourierGrid(float(cfg.get("L", 8.0)), M, n=int(cfg.get("dim", 1)))
-    if path == "grid":
-        lim = cfg.get("xi_limit", "auto")
-        return weyl_quantize_grid(p, grid, h, xi_limit=lim,
-                                  tail_frac_tol=float(cfg.get("tail_tol", 0.01)))
-    if path == "schrodinger":
+    """Shared quantization from a checked operator block."""
+    p, h, M, n = cfg["symbol"], cfg["h"], cfg["M"], cfg["dim"]
+    if cfg["path"] == "hermite":
+        return weyl_quantize_poly(p, HermiteBasis(M, n=n), h)
+    grid = FourierGrid(cfg["L"], M, n=n)
+    if cfg["path"] == "grid":
+        return weyl_quantize_grid(p, grid, h, xi_limit=cfg["xi_limit"],
+                                  tail_frac_tol=cfg["tail_tol"])
+    if cfg["path"] == "schrodinger":
         return schrodinger_matrix(p, grid, h)
-    if path == "wick":
-        return wick_quantize(p, grid, h)
-    raise ConfigError(f"unknown quantization path '{path}'")
+    return wick_quantize(p, grid, h)
 
 
 class _Run:
@@ -156,18 +327,10 @@ class _Run:
         io.write_json(self.dir / "manifest.json", payload)
 
 
-def _box_pairs(box):
-    """Accept [[lo, hi], ...] or a flat [lo, hi, lo, hi, ...]."""
-    box = list(box)
-    if box and not isinstance(box[0], (list, tuple)):
-        if len(box) % 2:
-            raise ConfigError("flat box needs an even number of values")
-        box = [[box[i], box[i + 1]] for i in range(0, len(box), 2)]
-    return [(float(lo), float(hi)) for lo, hi in box]
-
-
 def _fail_manifest(out_dir, cfg, exc):
+    """Record a failed run; a config error may come before the directory exists."""
     try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         io.write_json(Path(out_dir) / "manifest.json",
                       {"config": cfg, "error": f"{type(exc).__name__}: {exc}",
                        "artifacts": {}})
@@ -175,212 +338,146 @@ def _fail_manifest(out_dir, cfg, exc):
         pass
 
 
+def _subcommand(body):
+    """cmd(args): check the config, run body(args, cfg, run) in a _Run and
+    write the manifest, plus any entries body returns."""
+    @functools.wraps(body)
+    def cmd(args):
+        cfg, echo = _load_config(args)
+        with _Run(args.out) as run:
+            extra = body(args, cfg, run)
+            run.manifest(echo, extra)
+        return 0
+    return cmd
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_classify(args):
-    cfg = _load_config(args, required=["symbol", "box", "res"],
-                       optional=["dim", "seed", "sigma_radii", "cone"])
-    p = _symbol(cfg)
-    with _Run(args.out) as run:
-        atlas = sample_symbol_range(p, _box_pairs(cfg["box"]), int(cfg["res"]))
-        if cfg.get("sigma_radii"):
-            atlas.sigma_inf = sigma_infinity(p, cfg["sigma_radii"])
-        if cfg.get("cone"):
-            c = cfg["cone"]
-            atlas.cone_test(_complex_of(c["z0"]), float(c["direction"]),
-                            float(c["aperture"]))
-        io.atlas_to_csv(run.path("atlas.csv"), atlas)
-        io.atlas_to_json(run.path("atlas.json"), atlas)
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_classify(args, cfg, run):
+    p = cfg["symbol"]
+    atlas = sample_symbol_range(p, cfg["box"], cfg["res"])
+    if cfg["sigma_radii"]:
+        atlas.sigma_inf = sigma_infinity(p, cfg["sigma_radii"])
+    if cfg["cone"]:
+        atlas.cone_test(**cfg["cone"])
+    io.atlas_to_csv(run.path("atlas.csv"), atlas)
+    io.atlas_to_json(run.path("atlas.json"), atlas)
 
 
-def cmd_quantize(args):
-    cfg = _load_config(args, required=["symbol", "h", "M"],
-                       optional=["dim", "path", "L", "xi_limit", "tail_tol",
-                                 "seed"])
-    with _Run(args.out) as run:
-        op = _build_operator(cfg)
-        io.operator_to_file(run.path("operator.bin"), op)
-        io.write_json(run.path("operator.json"),
-                      {"norm": op.norm(), "size": op.size, "h": op.h,
-                       "hermiticity_defect": op.hermiticity_defect(),
-                       "provenance": op.provenance})
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_quantize(args, cfg, run):
+    op = _build_operator(cfg)
+    io.operator_to_file(run.path("operator.bin"), op)
+    io.write_json(run.path("operator.json"),
+                  {"norm": op.norm(), "size": op.size, "h": op.h,
+                   "hermiticity_defect": op.hermiticity_defect(),
+                   "provenance": op.provenance})
 
 
-def cmd_spectrum(args):
-    cfg = _load_config(args, required=["symbol", "h", "M"],
-                       optional=["dim", "path", "L", "xi_limit", "tail_tol",
-                                 "seed"])
-    with _Run(args.out) as run:
-        op = _build_operator(cfg)
-        rep = eigendecompose(op)
-        io.spectrum_to_json(run.path("spectrum.json"), rep)
-        io.spectrum_to_csv(run.path("spectrum.csv"), rep)
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_spectrum(args, cfg, run):
+    rep = eigendecompose(_build_operator(cfg))
+    io.spectrum_to_json(run.path("spectrum.json"), rep)
+    io.spectrum_to_csv(run.path("spectrum.csv"), rep)
 
 
-def cmd_psgrid(args):
-    cfg = _load_config(args, required=["symbol", "h", "M", "rectangle", "shape"],
-                       optional=["dim", "path", "L", "xi_limit", "tail_tol",
-                                 "seed", "levels"])
-    with _Run(args.out) as run:
-        rect = [_config_float(v, "rectangle")
-                for v in _config_list(cfg["rectangle"], "rectangle", 4)]
-        if not (rect[1] > rect[0] and rect[3] > rect[2]):
-            raise ConfigError(f"'rectangle' needs re_max > re_min and "
-                              f"im_max > im_min, got {rect}")
-        shape = [_config_int(n, "shape", 2)
-                 for n in _config_list(cfg["shape"], "shape", 2)]
-        op = _build_operator(cfg)
-        grid = pseudospectrum_grid(op, rect, shape, threads=args.threads)
-        io.grid_to_csv(run.path("grid.csv"), grid)
-        io.grid_to_pgm(run.path("grid.pgm"), grid, run.path("grid_pgm.json"))
-        if cfg.get("levels"):
-            lines = contour_extract(grid, cfg["levels"])
-            io.write_json(run.path("contours.json"),
-                          {str(eps): [{"closed": pl.closed, "points": pl.points}
-                                      for pl in pls]
-                           for eps, pls in lines.items()})
-        run.manifest(cfg, {"timing": grid.timing})
-    return 0
+@_subcommand
+def cmd_psgrid(args, cfg, run):
+    grid = pseudospectrum_grid(_build_operator(cfg), cfg["rectangle"],
+                               cfg["shape"], threads=args.threads)
+    io.grid_to_csv(run.path("grid.csv"), grid)
+    io.grid_to_pgm(run.path("grid.pgm"), grid, run.path("grid_pgm.json"))
+    if cfg["levels"]:
+        lines = contour_extract(grid, cfg["levels"])
+        io.write_json(run.path("contours.json"),
+                      {str(eps): [{"closed": pl.closed, "points": pl.points}
+                                  for pl in pls]
+                       for eps, pls in lines.items()})
+    return {"timing": grid.timing}
 
 
-def cmd_quasimode(args):
-    cfg = _load_config(args, required=["symbol", "point", "order", "delta",
-                                       "h_list"],
-                       optional=["dim", "path", "seed", "model", "fbi"])
-    with _Run(args.out) as run:
-        p = _symbol(cfg)
-        fit, rec = residual_sweep(p, cfg["point"], int(cfg["order"]),
-                                  float(cfg["delta"]), cfg["h_list"],
-                                  path=cfg.get("path", "grid"),
-                                  model=cfg.get("model", "power"))
-        io.write_json(run.path("residuals.json"),
-                      {"sweep": rec["sweep"], "model": fit.model,
-                       "exponent": fit.exponent, "r_squared": fit.r_squared})
-        qm = rec["quasimode"]
-        h_min = min(cfg["h_list"])
-        from .quasimodes import _grid_for_beam
-        grid = _grid_for_beam(qm, h_min, abs(qm.w0[0]) + 2 * qm.delta + 2.0, 16)
-        x = grid.points_1d()
-        io.quasimode_to_csv(run.path("vector.csv"), x, qm.sample(x, h_min))
-        if cfg.get("fbi"):
-            io.write_json(run.path("localization.json"),
-                          localization_report(qm, h_min))
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_quasimode(args, cfg, run):
+    fit, rec = residual_sweep(cfg["symbol"], cfg["point"], cfg["order"],
+                              cfg["delta"], cfg["h_list"], path=cfg["path"],
+                              model=cfg["model"])
+    io.write_json(run.path("residuals.json"),
+                  {"sweep": rec["sweep"], "model": fit.model,
+                   "exponent": fit.exponent, "r_squared": fit.r_squared})
+    qm = rec["quasimode"]
+    h_min = min(cfg["h_list"])
+    x = _grid_for_beam(qm, h_min).points_1d()
+    io.quasimode_to_csv(run.path("vector.csv"), x, qm.sample(x, h_min))
+    if cfg["fbi"]:
+        io.write_json(run.path("localization.json"),
+                      localization_report(qm, h_min))
 
 
-def cmd_scaling(args):
-    cfg = _load_config(args, required=["experiment"],
-                       optional=["symbol", "dim", "k", "h_list", "z", "M",
-                                 "L", "model", "seed"])
-    with _Run(args.out) as run:
-        from .repro import rational_resolvent_experiment, resolvent_decay_experiment, \
-            subelliptic_experiment
-        kind = cfg["experiment"]
-        if kind == "subelliptic":
-            fit, _ = subelliptic_experiment(int(cfg["k"]), cfg["h_list"],
-                                            M=int(cfg.get("M", 256)))
-        elif kind == "resolvent-decay":
-            fit, _ = resolvent_decay_experiment(_symbol(cfg),
-                                                _complex_of(cfg["z"]),
-                                                cfg["h_list"],
-                                                int(cfg.get("M", 200)))
-        elif kind == "rational":
-            fit, _ = rational_resolvent_experiment(cfg["h_list"])
-        else:
-            raise ConfigError(f"unknown scaling experiment '{kind}'")
-        io.write_json(run.path("scaling.json"),
-                      {"model": fit.model, "exponent": fit.exponent,
-                       "prefactor": fit.prefactor, "r_squared": fit.r_squared,
-                       "samples": fit.samples, "excluded": fit.excluded})
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_scaling(args, cfg, run):
+    kind = cfg["experiment"]
+    if kind == "subelliptic":
+        fit, _ = subelliptic_experiment(cfg["k"], cfg["h_list"], M=cfg["M"])
+    elif kind == "resolvent-decay":
+        fit, _ = resolvent_decay_experiment(cfg["symbol"], cfg["z"],
+                                            cfg["h_list"], cfg["M"])
+    else:
+        fit, _ = rational_resolvent_experiment(cfg["h_list"])
+    io.write_json(run.path("scaling.json"),
+                  {"model": fit.model, "exponent": fit.exponent,
+                   "prefactor": fit.prefactor, "r_squared": fit.r_squared,
+                   "samples": fit.samples, "excluded": fit.excluded})
 
 
-def cmd_weight(args):
-    cfg = _load_config(args, required=["symbol", "z0", "box", "T0"],
-                       optional=["dim", "seed", "exit_tol"])
-    with _Run(args.out) as run:
-        p = _symbol(cfg)
-        w = escape_weight(p, _complex_of(cfg["z0"]), _box_pairs(cfg["box"]), float(cfg["T0"]),
-                          exit_tol=float(cfg.get("exit_tol", 1e-3)))
-        io.escape_weight_to_json(run.path("weight.json"), w)
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_weight(args, cfg, run):
+    w = escape_weight(cfg["symbol"], cfg["z0"], cfg["box"], cfg["T0"],
+                      exit_tol=cfg["exit_tol"])
+    io.escape_weight_to_json(run.path("weight.json"), w)
 
 
-def cmd_conjugate(args):
-    cfg = _load_config(args, required=["symbol", "h", "M", "weight", "eps"],
-                       optional=["dim", "path", "L", "seed", "z_list",
-                                 "cond_cap"])
-    with _Run(args.out) as run:
-        op = _build_operator(cfg)
-        G = parse_symbol(cfg["weight"], int(cfg.get("dim", 1)))
-        zs = [_complex_of(z) for z in cfg.get("z_list", [])]
-        Pe, rep = conjugate_operator(op, G, float(cfg["eps"]), float(cfg["h"]),
-                                     z_list=zs,
-                                     cond_cap=float(cfg.get("cond_cap", 1e12)))
-        io.operator_to_file(run.path("conjugated.bin"), Pe)
-        io.write_json(run.path("conjugation.json"),
-                      {"eps": rep.eps, "cond": rep.cond,
-                       "spectrum_displacement": rep.spectrum_displacement,
-                       "sigma_min": {str(z): v for z, v in rep.sigma_min.items()}})
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_conjugate(args, cfg, run):
+    # conjugate takes no xi-limit keys: a grid operator gets their defaults
+    op = _build_operator({**cfg, "xi_limit": "auto", "tail_tol": 0.01})
+    Pe, rep = conjugate_operator(op, cfg["weight"], cfg["eps"], cfg["h"],
+                                 z_list=cfg["z_list"], cond_cap=cfg["cond_cap"])
+    io.operator_to_file(run.path("conjugated.bin"), Pe)
+    io.write_json(run.path("conjugation.json"),
+                  {"eps": rep.eps, "cond": rep.cond,
+                   "spectrum_displacement": rep.spectrum_displacement,
+                   "sigma_min": {str(z): v for z, v in rep.sigma_min.items()}})
 
 
-def cmd_dissipative(args):
-    cfg = _load_config(args, required=["q", "a", "h", "M"],
-                       optional=["dim", "seed", "z_list"])
-    with _Run(args.out) as run:
-        n = int(cfg.get("dim", 1))
-        D = dissipative_build(parse_symbol(cfg["q"], n), parse_symbol(cfg["a"], n),
-                              HermiteBasis(int(cfg["M"]), n=n), float(cfg["h"]))
-        rep = eigendecompose(D.P)
-        io.spectrum_to_json(run.path("spectrum.json"), rep)
-        payload = {"hermiticity_defect": D.hermiticity_defect,
-                   "w_min_eig": D.w_min_eig}
-        if cfg.get("z_list"):
-            check = dissipative_resolvent_check(
-                D, [_complex_of(z) for z in cfg["z_list"]])
-            payload["resolvent_check"] = check
-        io.write_json(run.path("dissipative.json"), payload)
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_dissipative(args, cfg, run):
+    D = dissipative_build(cfg["q"], cfg["a"],
+                          HermiteBasis(cfg["M"], n=cfg["dim"]), cfg["h"])
+    rep = eigendecompose(D.P)
+    io.spectrum_to_json(run.path("spectrum.json"), rep)
+    payload = {"hermiticity_defect": D.hermiticity_defect,
+               "w_min_eig": D.w_min_eig}
+    if cfg["z_list"]:
+        payload["resolvent_check"] = dissipative_resolvent_check(D, cfg["z_list"])
+    io.write_json(run.path("dissipative.json"), payload)
 
 
-def cmd_fbi(args):
-    cfg = _load_config(args, required=["symbol", "point", "h"],
-                       optional=["dim", "order", "delta", "seed", "span",
-                                 "out_points"])
-    with _Run(args.out) as run:
-        p = _symbol(cfg)
-        qm = build_quasimode(p, cfg["point"], int(cfg.get("order", 0)),
-                             float(cfg.get("delta", 0.5)))
-        h = float(cfg["h"])
-        from .quasimodes import _grid_for_beam
-        grid = _grid_for_beam(qm, h, abs(qm.w0[0]) + 2 * qm.delta + 2.0, 16)
-        u = qm.sample(grid.points_1d(), h)
-        span = float(cfg.get("span", 1.5))
-        pts = int(cfg.get("out_points", 81))
-        x_out = np.linspace(qm.w0[0] - span, qm.w0[0] + span, pts)
-        xi_out = np.linspace(qm.w0[1] - span, qm.w0[1] + span, pts)
-        field = fbi_transform(u, grid, h, x_out, xi_out)
-        io.fbi_to_csv(run.path("fbi.csv"), field)
-        io.fbi_to_pgm(run.path("fbi.pgm"), field, run.path("fbi_pgm.json"))
-        run.manifest(cfg)
-    return 0
+@_subcommand
+def cmd_fbi(args, cfg, run):
+    qm = build_quasimode(cfg["symbol"], cfg["point"], cfg["order"], cfg["delta"])
+    h, span, pts = cfg["h"], cfg["span"], cfg["out_points"]
+    grid = _grid_for_beam(qm, h)
+    u = qm.sample(grid.points_1d(), h)
+    x_out = np.linspace(qm.w0[0] - span, qm.w0[0] + span, pts)
+    xi_out = np.linspace(qm.w0[1] - span, qm.w0[1] + span, pts)
+    field = fbi_transform(u, grid, h, x_out, xi_out)
+    io.fbi_to_csv(run.path("fbi.csv"), field)
+    io.fbi_to_pgm(run.path("fbi.pgm"), field, run.path("fbi_pgm.json"))
 
 
 def cmd_repro(args):
-    from .repro import run_reproduction_suite
     rows, all_pass = run_reproduction_suite(args.suite)
     width = max(len(r["name"]) for r in rows) + 2
     print(f"{'experiment':<{width}} {'measured':>14} {'expected':>22} verdict")
@@ -406,57 +503,35 @@ def make_parser():
         description="Numerical laboratory for semiclassical pseudospectra")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_out=True):
+    commands = [
+        ("classify", cmd_classify, "sample the classical sets"),
+        ("quantize", cmd_quantize, "quantize a symbol into an operator"),
+        ("spectrum", cmd_spectrum, "filtered spectrum of the quantized symbol"),
+        ("psgrid", cmd_psgrid, "sigma_min sweep over a z-rectangle"),
+        ("quasimode", cmd_quasimode, "WKB beam residual sweep"),
+        ("scaling", cmd_scaling, "resolvent scaling experiments"),
+        ("weight", cmd_weight, "escape-function construction"),
+        ("conjugate", cmd_conjugate, "weighted conjugation experiment"),
+        ("dissipative", cmd_dissipative, "Q - iW build and checks"),
+        ("fbi", cmd_fbi, "FBI transform of a quasimode"),
+    ]
+    parsers = {}
+    for name, fn, text in commands:
+        sp = parsers[name] = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="JSON config file")
-        if with_out:
-            sp.add_argument("--out", default="out", help="output directory")
+        sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--threads", type=int, default=1)
-
-    sp = sub.add_parser("classify", help="sample the classical sets")
-    common(sp)
-    sp.add_argument("--symbol")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--box", type=float, nargs=4,
-                    metavar=("XLO", "XHI", "XILO", "XIHI"))
-    sp.add_argument("--res", type=int)
-    sp.set_defaults(func=cmd_classify)
-
-    for name, fn in [("quantize", cmd_quantize), ("spectrum", cmd_spectrum)]:
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.add_argument("--symbol")
-        sp.add_argument("--h", type=float)
-        sp.add_argument("--M", type=int)
-        sp.add_argument("--path")
         sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("psgrid", help="sigma_min sweep over a z-rectangle")
-    common(sp)
-    sp.set_defaults(func=cmd_psgrid)
-
-    sp = sub.add_parser("quasimode", help="WKB beam residual sweep")
-    common(sp)
-    sp.set_defaults(func=cmd_quasimode)
-
-    sp = sub.add_parser("scaling", help="resolvent scaling experiments")
-    common(sp)
-    sp.set_defaults(func=cmd_scaling)
-
-    sp = sub.add_parser("weight", help="escape-function construction")
-    common(sp)
-    sp.set_defaults(func=cmd_weight)
-
-    sp = sub.add_parser("conjugate", help="weighted conjugation experiment")
-    common(sp)
-    sp.set_defaults(func=cmd_conjugate)
-
-    sp = sub.add_parser("dissipative", help="Q - iW build and checks")
-    common(sp)
-    sp.set_defaults(func=cmd_dissipative)
-
-    sp = sub.add_parser("fbi", help="FBI transform of a quasimode")
-    common(sp)
-    sp.set_defaults(func=cmd_fbi)
+    parsers["classify"].add_argument("--symbol")
+    parsers["classify"].add_argument("--dim", type=int)
+    parsers["classify"].add_argument("--box", type=float, nargs=4,
+                                     metavar=("XLO", "XHI", "XILO", "XIHI"))
+    parsers["classify"].add_argument("--res", type=int)
+    for name in ("quantize", "spectrum"):
+        parsers[name].add_argument("--symbol")
+        parsers[name].add_argument("--h", type=float)
+        parsers[name].add_argument("--M", type=int)
+        parsers[name].add_argument("--path")
 
     sp = sub.add_parser("repro", help="run a canned reproduction suite")
     sp.add_argument("suite", choices=["paper-examples", "invariants",
@@ -473,16 +548,14 @@ def main(argv=None):
     cfg_snapshot = {"argv": argv if argv is not None else sys.argv[1:]}
     try:
         return args.func(args)
-    except (ConfigError, SymbolSyntaxError, VariableIndexError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # the contract's last line: whatever else escapes a run exits 3
+        config_error = isinstance(exc, ConfigError)
+        print(f"{'config error' if config_error else 'numerical failure'}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if run_dir:
             _fail_manifest(run_dir, cfg_snapshot, exc)
-        return 2
-    except (PspecError, ValueError) as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if run_dir:
-            _fail_manifest(run_dir, cfg_snapshot, exc)
-        return 3
+        return 2 if config_error else 3
 
 
 if __name__ == "__main__":

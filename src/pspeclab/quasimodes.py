@@ -433,7 +433,11 @@ def _check_phase_positivity(qm):
 # ---------------------------------------------------------------------------
 # residual sweeps
 
-def _grid_for_beam(qm, h, L, points_per_width, xi_margin=2.0):
+def _grid_for_beam(qm, h, L=None, points_per_width=16, xi_margin=2.0):
+    """Periodic grid on [-L, L) resolving the beam at h; by default the
+    window reaches 2 delta + 2 past |x0|."""
+    if L is None:
+        L = abs(qm.w0[0]) + 2 * qm.delta + 2.0
     gamma = qm.gamma_A
     width = math.sqrt(h / gamma)
     M_width = int(math.ceil(2 * L * points_per_width / width))
@@ -477,8 +481,6 @@ def residual_sweep(p: SymbolExpr, w0, N: int, delta: float, h_list,
     GridResolutionError.
     """
     qm = build_quasimode(p, w0, N, delta, subprincipal=subprincipal)
-    if L is None:
-        L = abs(qm.w0[0]) + 2 * delta + 2.0
     records = []
     for h in h_list:
         grid = _grid_for_beam(qm, h, L, points_per_width)
@@ -502,8 +504,6 @@ def localization_report(qm: Quasimode, h: float, L: float = None,
     """FBI mass fractions outside balls around (x0, xi0)."""
     if qm.n != 1:
         raise PspecError("localization_report is 1-D")
-    if L is None:
-        L = abs(qm.w0[0]) + 2 * qm.delta + 2.0
     grid = _grid_for_beam(qm, h, L, points_per_width)
     x = grid.points_1d()
     u = qm.sample(x, h)

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pspeclab.artifacts import (
     operator_from_file,
@@ -108,6 +111,152 @@ def test_psgrid_malformed_config_exits_2(tmp_path, key, value):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+ROT = "xi1^2+xi1*1i+x1^2"
+# small valid configs, one per subcommand (quantize and spectrum on the grid
+# path, so that L and tail_tol are read)
+VALID = {
+    "classify": {"symbol": ROT, "box": [[-1.0, 1.0], [-1.0, 1.0]], "res": 10},
+    "quantize": {"symbol": "xi1^2+x1^2", "h": 0.1, "M": 16, "path": "grid"},
+    "spectrum": {"symbol": "xi1^2+x1^2", "h": 0.1, "M": 16, "path": "grid"},
+    "psgrid": {**PSGRID_OK, "levels": [0.05]},
+    "dissipative": {"q": "xi1^2+x1^2", "a": "x1^2", "h": 0.1, "M": 16,
+                    "z_list": [[0.5, 0.5]]},
+    "conjugate": {"symbol": ROT, "h": 1.0, "M": 16, "weight": "-x1/2",
+                  "eps": 0.5, "z_list": [[2.0, 1.0]]},
+    "weight": {"symbol": "xi1 + 1i*(x1^2 - 1)", "z0": [0.0, 0.0],
+               "box": [[-2.5, 2.5], [-2.5, 2.5]], "T0": 5.0},
+    "quasimode": {"symbol": ROT, "point": [1.0, 1.0], "order": 0, "delta": 0.5,
+                  "h_list": [0.2, 0.1, 0.07, 0.05]},
+    "fbi": {"symbol": ROT, "point": [1.0, 1.0], "h": 0.1, "out_points": 21},
+    "scaling": {"experiment": "subelliptic", "k": 2, "M": 64,
+                "h_list": [0.2, 0.1, 0.07, 0.05]},
+    "scaling-decay": {"experiment": "resolvent-decay", "symbol": ROT,
+                      "z": [2.0, 1.0], "M": 24, "h_list": [0.4, 0.3, 0.2, 0.1]},
+}
+MISSING = object()
+
+
+def _assert_failed_cleanly(out, error_type):
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["error"].startswith(error_type) and man["artifacts"] == {}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    return man
+
+
+def _bad(name, key, value):
+    shown = "missing" if value is MISSING else str(value)
+    return pytest.param(name, key, value, id=f"{name}-{key}-{shown}")
+
+
+@pytest.mark.parametrize("name, key, value", [
+    # malformed values the numerics used to meet (exit 3)
+    _bad("classify", "res", "abc"), _bad("classify", "res", 0),
+    _bad("classify", "dim", "abc"), _bad("quantize", "L", "x"),
+    _bad("quantize", "dim", 0), _bad("spectrum", "tail_tol", "x"),
+    _bad("dissipative", "M", "abc"), _bad("dissipative", "h", -0.1),
+    _bad("conjugate", "eps", "x"), _bad("weight", "T0", "x"),
+    _bad("quasimode", "order", "a"), _bad("quasimode", "point", [1.0]),
+    _bad("fbi", "h", -0.05), _bad("fbi", "out_points", "x"),
+    _bad("scaling", "k", "x"), _bad("scaling-decay", "z", "abc"),
+    _bad("psgrid", "levels", [-1]),
+    # malformed values that used to end in a traceback (exit 1)
+    _bad("classify", "res", [3]), _bad("classify", "symbol", 5),
+    _bad("quantize", "dim", [1]), _bad("dissipative", "z_list", [[1]]),
+    _bad("dissipative", "z_list", 5), _bad("conjugate", "z_list", [{"re": 1}]),
+    _bad("weight", "z0", [0.0]), _bad("quasimode", "h_list", 0.1),
+    _bad("psgrid", "levels", "x"), _bad("scaling", "k", MISSING),
+    _bad("scaling-decay", "z", MISSING), _bad("scaling", "h_list", MISSING),
+    _bad("fbi", "dim", 2),     # the beam grid is 1-D
+    # keys and forms no release accepted
+    _bad("conjugate", "xi_limit", "auto"), _bad("quantize", "xi_limit", [1.0, 0.0]),
+])
+def test_malformed_config_exits_2(tmp_path, name, key, value):
+    cfg = dict(VALID[name])
+    if value is MISSING:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "bad"
+    cmd = name.split("-")[0]
+    assert run_cli([cmd, "--config", str(path), "--out", str(out)]) == 2
+    man = _assert_failed_cleanly(out, "ConfigError")
+    assert f"'{key}'" in man["error"]     # the named key, not another one
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("classify", "sigma_radii", []), ("classify", "cone", {}),
+    ("psgrid", "levels", []), ("dissipative", "z_list", []),
+], ids=["classify-sigma_radii", "classify-cone", "psgrid-levels",
+        "dissipative-z_list"])
+def test_empty_optional_value_switches_the_feature_off(tmp_path, name, key,
+                                                        value):
+    artifacts = []
+    for i, cfg in enumerate([{**VALID[name], key: value},
+                             {k: v for k, v in VALID[name].items() if k != key}]):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{i}"
+        assert run_cli([name, "--config", str(path), "--out", str(out)]) == 0
+        artifacts.append(json.loads((out / "manifest.json").read_text())["artifacts"])
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing-file", "invalid-json", "not-an-object"])
+def test_unreadable_config_file_exits_2(tmp_path, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "bad"
+    assert run_cli(["quantize", "--config", str(path), "--out", str(out)]) == 2
+    _assert_failed_cleanly(out, "ConfigError")
+
+
+def test_unexpected_exception_exits_3_without_partial_artifacts(tmp_path,
+                                                                monkeypatch):
+    # contour_extract runs after grid.csv and grid.pgm are written
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("pspeclab.cli.contour_extract", boom)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(VALID["psgrid"]))
+    out = tmp_path / "boom"
+    assert run_cli(["psgrid", "--config", str(path), "--out", str(out)]) == 3
+    _assert_failed_cleanly(out, "RuntimeError")
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("pspeclab.cli.contour_extract", interrupt)
+    out = tmp_path / "interrupted"
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["psgrid", "--config", str(path), "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
+FUZZ_POOL = [None, True, "abc", [], [[]], {}, float("nan"), float("inf"),
+             float("-inf"), -1, 0, 0.5]
+FUZZ_SLOTS = [(name, key) for name in sorted(VALID) if name != "scaling-decay"
+              for key in sorted(VALID[name])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(slot=st.sampled_from(FUZZ_SLOTS), value=st.sampled_from(FUZZ_POOL))
+def test_fuzzed_config_keeps_the_exit_code_contract(slot, value):
+    name, key = slot
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({**VALID[name], key: value}))
+        out = Path(tmp) / "out"
+        code = run_cli([name, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code:
+            _assert_failed_cleanly(out, "ConfigError" if code == 2 else "")
+
+
 def test_weight_command(tmp_path):
     cfg = {"symbol": "xi1 + 1i*(x1^2 - 1)", "z0": [0.0, 0.0],
            "box": [[-2.5, 2.5], [-2.5, 2.5]], "T0": 5.0}
@@ -195,6 +344,10 @@ def test_manifest_config_roundtrip(tmp_path):
     out1 = tmp_path / "r1"
     assert run_cli(["spectrum", "--config", str(path), "--out", str(out1)]) == 0
     man1 = json.loads((out1 / "manifest.json").read_text())
+    # the echo is the config as given plus every default
+    assert man1["config"] == {**cfg, "dim": 1, "path": "hermite", "L": 8.0,
+                              "xi_limit": "auto", "tail_tol": 0.01,
+                              "seed": 2024}
     path2 = tmp_path / "resolved.json"
     path2.write_text(json.dumps(man1["config"]))
     out2 = tmp_path / "r2"
