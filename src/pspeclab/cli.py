@@ -38,7 +38,8 @@ from .quasimodes import _grid_for_beam, build_quasimode, localization_report, \
     residual_sweep
 from .repro import rational_resolvent_experiment, resolvent_decay_experiment, \
     run_reproduction_suite, subelliptic_experiment
-from .spectral import contour_extract, eigendecompose, pseudospectrum_grid
+from .spectral import contour_extract, eigendecompose, pseudospectrum_grid, \
+    scaling_fit
 from .symbols import parse_symbol
 from .weights import conjugate_operator, dissipative_build, \
     dissipative_resolvent_check, escape_weight
@@ -167,6 +168,15 @@ def _needed_by(experiment, check):
     return run
 
 
+def _scaling_L(v, cfg):
+    """Box half-width of the subelliptic and rational grids.
+    resolvent-decay runs on the Hermite basis, which has no box."""
+    if cfg["experiment"] == "resolvent-decay":
+        raise ConfigError("is not used by experiment 'resolvent-decay' "
+                          "(Hermite basis, no box)")
+    return _positive(v)
+
+
 def _scaling_M(v, cfg):
     """Grid points (subelliptic) or Hermite modes (resolvent-decay)."""
     if v is None:
@@ -219,8 +229,9 @@ _SCHEMA = {
         "z": (_needed_by("resolvent-decay", _complex), None),
         "k": (_needed_by("subelliptic", _int(1)), None),
         "h_list": _H_LIST, "M": (_scaling_M, None),
-        # accepted and ignored, as they always were
-        "L": (_optional(_positive), None),
+        # null keeps each experiment's own box
+        "L": (_optional(_scaling_L), None),
+        # refit the samples to this model instead of the experiment's own
         "model": (_optional(_one_of("power", "exponential")), None)},
     "weight": {
         **_BASE, "z0": (_complex, REQUIRED), "box": (_box, REQUIRED),
@@ -418,13 +429,17 @@ def cmd_quasimode(args, cfg, run):
 @_subcommand
 def cmd_scaling(args, cfg, run):
     kind = cfg["experiment"]
+    box = {} if cfg["L"] is None else {"L": cfg["L"]}
     if kind == "subelliptic":
-        fit, _ = subelliptic_experiment(cfg["k"], cfg["h_list"], M=cfg["M"])
+        fit, samples = subelliptic_experiment(cfg["k"], cfg["h_list"],
+                                              M=cfg["M"], **box)
     elif kind == "resolvent-decay":
-        fit, _ = resolvent_decay_experiment(cfg["symbol"], cfg["z"],
-                                            cfg["h_list"], cfg["M"])
+        fit, samples = resolvent_decay_experiment(cfg["symbol"], cfg["z"],
+                                                  cfg["h_list"], cfg["M"])
     else:
-        fit, _ = rational_resolvent_experiment(cfg["h_list"])
+        fit, samples = rational_resolvent_experiment(cfg["h_list"], **box)
+    if cfg["model"] is not None:
+        fit = scaling_fit(samples, cfg["model"])
     io.write_json(run.path("scaling.json"),
                   {"model": fit.model, "exponent": fit.exponent,
                    "prefactor": fit.prefactor, "r_squared": fit.r_squared,

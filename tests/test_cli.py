@@ -71,6 +71,22 @@ def test_spectrum_and_rerun_byte_identical(tmp_path):
     assert outs[0]["artifacts"] == outs[1]["artifacts"]
 
 
+def test_quantize_wick_path_rerun_byte_identical(tmp_path):
+    # a non-polynomial symbol takes the lattice-smoothed Wick path
+    cfg = {"symbol": "exp(-x1^2-xi1^2)", "h": 0.1, "M": 64, "path": "wick"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run_cli(["quantize", "--config", str(path),
+                        "--out", str(out)]) == 0
+        outs.append(json.loads((out / "manifest.json").read_text()))
+    assert outs[0]["artifacts"] == outs[1]["artifacts"]
+    info = json.loads((tmp_path / "a" / "operator.json").read_text())
+    assert info["provenance"] == "wick(lattice)"
+
+
 def test_psgrid_artifacts_and_determinism(tmp_path):
     cfg = {"symbol": "xi1^2+xi1*1i+x1^2", "h": 0.1, "M": 48,
            "rectangle": [0.0, 1.0, -0.4, 0.4], "shape": [8, 6],
@@ -169,6 +185,7 @@ def _bad(name, key, value):
     _bad("fbi", "dim", 2),     # the beam grid is 1-D
     # keys and forms no release accepted
     _bad("conjugate", "xi_limit", "auto"), _bad("quantize", "xi_limit", [1.0, 0.0]),
+    _bad("scaling-decay", "L", 2.0),     # the Hermite basis has no box
 ])
 def test_malformed_config_exits_2(tmp_path, name, key, value):
     cfg = dict(VALID[name])
@@ -365,6 +382,39 @@ def test_scaling_command(tmp_path):
     assert run_cli(["scaling", "--config", str(path), "--out", str(out)]) == 0
     payload = json.loads((out / "scaling.json").read_text())
     assert abs(payload["exponent"] - 2 / 3) < 0.08
+
+
+def _scaling_payload(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert run_cli(["scaling", "--config", str(path), "--out", str(out)]) == 0
+    return (out / "scaling.json").read_bytes()
+
+
+def test_scaling_model_and_L_are_used(tmp_path):
+    from pspeclab.repro import subelliptic_experiment
+    from pspeclab.spectral import scaling_fit
+
+    base = VALID["scaling"]
+    default = _scaling_payload(tmp_path, "default", base)
+    # null keeps the experiment's own box and model
+    assert _scaling_payload(tmp_path, "nulls",
+                            {**base, "L": None, "model": None}) == default
+    fit, samples = subelliptic_experiment(base["k"], base["h_list"], M=base["M"])
+    assert json.loads(default)["model"] == fit.model == "power"
+
+    refit = json.loads(_scaling_payload(tmp_path, "exp",
+                                        {**base, "model": "exponential"}))
+    expect = scaling_fit(samples, "exponential")
+    assert refit["model"] == "exponential"
+    assert refit["exponent"] == expect.exponent
+
+    boxed = json.loads(_scaling_payload(tmp_path, "box", {**base, "L": 2.0}))
+    _, samples2 = subelliptic_experiment(base["k"], base["h_list"], L=2.0,
+                                         M=base["M"])
+    assert boxed["samples"] == [list(s) for s in samples2]
+    assert boxed["samples"] != json.loads(default)["samples"]
 
 
 def test_conjugate_and_fbi_commands(tmp_path):
