@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import BRACKET_TOL, real_bracket_values
-from .errors import ContourError, DegenerateValueError, NonFiniteError, PspecError
-from .symbols import SymbolExpr
+from .errors import ContourError, DegenerateValueError, PspecError
+from .symbols import SymbolExpr, _check_finite
 
 __all__ = [
     "RangeAtlas",
@@ -103,8 +103,8 @@ def sample_symbol_range(p: SymbolExpr, box, resolution: int) -> RangeAtlas:
     """Evaluate p and {Re p, Im p} on a uniform grid over the box.
 
     box is a sequence of (lo, hi) pairs, one per phase-space coordinate
-    (2n of them).  Grid points where the symbol fails to evaluate are
-    skipped and counted.
+    (2n of them).  Grid points where the value or the bracket is not
+    finite (poles) are skipped and counted.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != 2 * p.n:
@@ -117,27 +117,7 @@ def sample_symbol_range(p: SymbolExpr, box, resolution: int) -> RangeAtlas:
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = [m.ravel() for m in mesh]
-    skipped = 0
-    try:
-        with np.errstate(all="ignore"):
-            values, brackets = real_bracket_values(p, coords)
-    except (NonFiniteError, FloatingPointError):
-        # fall back to pointwise so isolated singular grid points can be skipped
-        vals, brks = [], []
-        pts = np.stack(coords, axis=1)
-        keep = []
-        for w in pts:
-            try:
-                v, b = real_bracket_values(p, [np.asarray(c) for c in w])
-                vals.append(complex(v))
-                brks.append(float(b))
-                keep.append(w)
-            except (NonFiniteError, FloatingPointError):
-                skipped += 1
-        points = np.array(keep) if keep else np.zeros((0, 2 * p.n))
-        return RangeAtlas(p.to_string(), p.n, tuple(box), resolution, points,
-                          np.array(vals, dtype=complex), np.array(brks),
-                          skipped, _bracket_scale(np.array(brks)))
+    values, brackets = real_bracket_values(p, coords)
     finite = np.isfinite(values) & np.isfinite(brackets)
     skipped = int((~finite).sum())
     points = np.stack(coords, axis=1)[finite]
@@ -180,9 +160,7 @@ def sigma_infinity(p: SymbolExpr, radii, n_dirs: int = 720,
     vals = []
     for R in radii[-2:]:
         coords = [R * dirs[:, k] for k in range(2 * p.n)]
-        with np.errstate(all="ignore"):
-            v = p.eval_grid(coords)
-        vals.append(v)
+        vals.append(p.eval_grid(coords))
     v1, v2 = vals  # second-largest, largest radius
     if cluster_tol is None:
         finite = np.isfinite(v2)
@@ -249,7 +227,8 @@ def winding_number(p: SymbolExpr, z: complex, R: float,
 def _circle_values(p, z, R, theta):
     x = R * np.sin(theta)
     xi = R * np.cos(theta)
-    return p.eval_grid([x, xi]) - z
+    return _check_finite(p.eval_grid([x, xi]) - z,
+                         f"symbol evaluation failed on the contour |w| = {R}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +282,7 @@ def solve_level_set(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 12,
         if not alive.any():
             break
         coords = [w[alive][:, k] for k in range(2 * p.n)]
-        try:
-            vals, grads = p.eval_with_gradient(coords)
-        except (NonFiniteError, FloatingPointError):
-            vals, grads = _pointwise_gradients(p, w[alive])
+        vals, grads = p.eval_with_gradient(coords)
         F = np.stack([np.real(vals - z), np.imag(vals - z)], axis=1)
         J = np.stack([np.stack([np.real(g) for g in grads], axis=1),
                       np.stack([np.imag(g) for g in grads], axis=1)], axis=1)
@@ -321,8 +297,7 @@ def solve_level_set(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 12,
         inside = ((w[idx] >= lo - margin) & (w[idx] <= hi + margin)).all(axis=1)
         alive[idx[bad | ~inside]] = False
 
-    with np.errstate(all="ignore"):
-        vals = p.eval_grid([w[:, k] for k in range(2 * p.n)])
+    vals = p.eval_grid([w[:, k] for k in range(2 * p.n)])
     res = np.abs(vals - z)
     good = np.isfinite(res) & (res <= level_tol)
     roots = w[good]
@@ -373,20 +348,6 @@ def _cluster_centroids(roots, dedupe):
             sums.append(r.copy())
             counts.append(1)
     return np.array([s / c for s, c in zip(sums, counts)])
-
-
-def _pointwise_gradients(p, pts):
-    vals, grads = [], []
-    for w in pts:
-        try:
-            v, g = p.eval_with_gradient([np.asarray(c) for c in w])
-        except (NonFiniteError, FloatingPointError):
-            v, g = np.nan, [np.nan] * len(w)
-        vals.append(complex(v))
-        grads.append([complex(x) for x in g])
-    vals = np.array(vals)
-    grads = [np.array([g[k] for g in grads]) for k in range(pts.shape[1])]
-    return vals, grads
 
 
 def _gauss_newton_step(F, J):

@@ -5,7 +5,9 @@ point up to a total degree D:  f(w + t) = sum_a c[a] * t^a + O(|t|^{D+1}),
 with multi-indices a over the 2n variables (x1..xn, xi1..xin) and
 c[a] = d^a f(w) / a!.  One jet evaluation of the symbol tree serves all
 derivative queries up to order D, which is what the repeated-bracket
-machinery needs.
+machinery needs.  ``eval_jet`` runs the symbol tree's one fold
+(``symbols._fold``) over the ``Jet`` ring and raises ``NonFiniteError``
+when the value at the point is not finite.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .errors import JetDivisionError, NonFiniteError
-from .symbols import BinOp, Const, Exp, Neg, Pow, SymbolExpr, Var, _var_slot
+from .symbols import SymbolExpr, _fold, _var_slot
 
 __all__ = ["Jet", "eval_jet", "multi_indices", "compose_jet"]
 
@@ -168,6 +170,8 @@ class Jet:
                 base = base * base
         return out
 
+    __pow__ = integer_power
+
     def exp(self):
         c0 = self.value()
         u = self._like()
@@ -239,41 +243,24 @@ class Jet:
 
 
 def eval_jet(p: SymbolExpr, w, degree: int) -> Jet:
-    """Taylor-expand a symbol at the point w up to total degree."""
+    """Taylor-expand a symbol at the point w up to total degree.
+
+    Raises NonFiniteError when the value at w is not finite, and
+    JetDivisionError when a denominator vanishes at w."""
     w = np.asarray(w, dtype=float)
     nvars = 2 * p.n
     if w.shape != (nvars,):
         raise ValueError(f"point must have length {nvars}")
-    jet = _jet_node(p.root, w, nvars, degree)
+
+    def var(node):
+        slot = _var_slot(node, nvars)
+        return Jet.coordinate(nvars, degree, slot, w[slot], w)
+
+    jet = _fold(p.root, lambda c: Jet.constant(nvars, degree, c, w), var, Jet.exp)
     val = jet.value()
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise NonFiniteError(f"jet evaluation overflowed at {w}")
     return jet
-
-
-def _jet_node(node, w, nvars, degree):
-    if isinstance(node, Const):
-        return Jet.constant(nvars, degree, node.value, w)
-    if isinstance(node, Var):
-        slot = _var_slot(node, nvars)
-        return Jet.coordinate(nvars, degree, slot, w[slot], w)
-    if isinstance(node, Neg):
-        return -_jet_node(node.child, w, nvars, degree)
-    if isinstance(node, Exp):
-        return _jet_node(node.child, w, nvars, degree).exp()
-    if isinstance(node, Pow):
-        return _jet_node(node.base, w, nvars, degree).integer_power(node.exponent)
-    if isinstance(node, BinOp):
-        a = _jet_node(node.left, w, nvars, degree)
-        b = _jet_node(node.right, w, nvars, degree)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    raise TypeError(f"unknown node {node!r}")
 
 
 def compose_jet(outer: Jet, arg_jets) -> Jet:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridResolutionError, NotPolynomialError, PspecError
-from .symbols import PolySymbol, SymbolExpr
+from .symbols import PolySymbol, SymbolExpr, _check_finite
 
 __all__ = [
     "HermiteBasis",
@@ -187,8 +187,7 @@ class OperatorMatrix:
         return float(np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300))
 
     def __post_init__(self):
-        if not np.isfinite(self.matrix).all():
-            raise PspecError("operator matrix has non-finite entries")
+        _check_finite(self.matrix, "operator matrix has non-finite entries")
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +338,7 @@ def _midpoint_kernel(prof, tail_frac_tol):
     (dual axis in fft order): one inverse DFT per midpoint, the dual
     window check, then entry (j, l) read at midpoint index j + l (the
     short arc on the torus) and difference j - l."""
-    if not np.isfinite(prof).all():
-        raise PspecError("symbol evaluation failed on the dual grid")
+    _check_finite(prof, "symbol evaluation failed on the dual grid")
     rows = np.fft.ifft(prof, axis=1)
     _dual_window_check(rows, tail_frac_tol)
     M = prof.shape[1]
@@ -482,8 +480,7 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
         cols = slice(r, r + step)
         block = _symbol_values(a, x[None, cols], xi[:, None])
         block = np.broadcast_to(block, (xi.size, x[cols].size))
-        if not np.isfinite(block).all():
-            raise PspecError("symbol evaluation failed on the Wick lattice")
+        _check_finite(block, "symbol evaluation failed on the Wick lattice")
         smooth_xi[cols] = _real_times_complex(Gxi, block).T
     c = _real_times_complex(Gx, smooth_xi)
     A = _midpoint_kernel(np.fft.ifftshift(c, axes=1), tail_frac_tol)

@@ -13,11 +13,21 @@ Grammar (EBNF)::
 A trailing ``i`` marks an imaginary literal, e.g. ``1i``, ``2.5e-3i``.
 Exponents are unsigned integer literals; negative powers are written
 with a division.  Phase-space points are ordered ``(x1..xn, xi1..xin)``.
+
+Evaluation walks the tree in one place, ``_fold``, over a number ring:
+ndarrays (``eval``, ``eval_grid``), value-and-gradient pairs
+(``eval_with_gradient``), polynomials (``to_poly``) and Taylor jets
+(``jets.eval_jet``).  At a pole the vectorized evaluators return IEEE
+inf/nan without a warning, and each consumer that needs finite values
+checks for them with ``_check_finite``, which raises ``NonFiniteError``.
+The scalar ``eval`` is ``eval_grid`` at one point, bit for bit, and
+raises ``NonFiniteError`` where that value is not finite.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,10 +261,11 @@ class SymbolExpr:
         return self.eval(w)
 
     def eval(self, w) -> complex:
-        """Evaluate at a single real phase-space point."""
+        """Evaluate at a single real phase-space point: eval_grid at
+        that point, bit for bit.  Raises NonFiniteError where the value
+        is not finite (e.g. at a pole)."""
         w = np.asarray(w, dtype=float)
-        val = _eval_node(self.root, [np.asarray(c) for c in w])
-        val = complex(val)
+        val = complex(self.eval_grid(w[:, None])[0])
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise NonFiniteError(f"symbol evaluated to non-finite value at {w}")
         return val
@@ -263,21 +274,38 @@ class SymbolExpr:
         """Vectorized evaluation.
 
         coords is a sequence of 2n broadcastable real arrays
-        (x1..xn, xi1..xin).  Returns a complex array.
+        (x1..xn, xi1..xin).  Returns a complex array, with IEEE inf/nan
+        (and no warning) where the symbol is not finite.
         """
         coords = [np.asarray(c, dtype=float) for c in coords]
         if len(coords) != 2 * self.n:
             raise ValueError(f"need {2 * self.n} coordinate arrays")
-        out = _eval_node(self.root, coords)
+        # constants stay Python complex numbers, so constant subtrees keep
+        # Python's complex arithmetic and its last bits
+        with np.errstate(all="ignore"):
+            out = _fold(self.root, lambda c: c,
+                        lambda v: coords[_var_slot(v, len(coords))], np.exp)
         return np.asarray(out, dtype=complex) + np.zeros(np.broadcast_shapes(
             *[c.shape for c in coords]), dtype=complex)
 
     def eval_with_gradient(self, coords):
-        """Vectorized value and gradient (2n component arrays)."""
+        """Vectorized value and gradient (2n component arrays), with
+        IEEE inf/nan (and no warning) where they are not finite."""
         coords = [np.asarray(c, dtype=float) for c in coords]
-        shape = np.broadcast_shapes(*[c.shape for c in coords])
-        val, grad = _eval_node_grad(self.root, coords, len(coords), shape)
-        return val, grad
+        m = len(coords)
+        zeros = np.zeros(np.broadcast_shapes(*[c.shape for c in coords]),
+                         dtype=complex)
+
+        def var(node):
+            slot = _var_slot(node, m)
+            grad = [zeros] * m
+            grad[slot] = np.ones_like(zeros)
+            return _Dual(coords[slot] + zeros, grad)
+
+        with np.errstate(all="ignore"):
+            out = _fold(self.root, lambda c: _Dual(c + zeros, [zeros] * m),
+                        var, _Dual.exp)
+        return out.value, out.grad
 
     # -- serialization ------------------------------------------------------
 
@@ -310,7 +338,11 @@ class SymbolExpr:
         deg = self.polynomial_degree()
         if deg is None:
             raise NotPolynomialError(f"'{self.to_string()}' is not polynomial")
-        return _poly_from_node(self.root, self.n)
+        n = self.n
+        zero = (0,) * (2 * n)
+        return _fold(self.root, lambda c: PolySymbol.constant(n, c),
+                     lambda v: PolySymbol.variable(n, _var_slot(v, 2 * n)),
+                     lambda u: PolySymbol.constant(n, np.exp(u.coeffs.get(zero, 0.0))))
 
 
 def _coerce(other, n):
@@ -342,72 +374,84 @@ def _var_slot(node, n_coords):
     return (node.index - 1) if node.kind == "x" else (n + node.index - 1)
 
 
-def _eval_node(node, coords):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return coords[_var_slot(node, len(coords))]
-    if isinstance(node, Neg):
-        return -_eval_node(node.child, coords)
-    if isinstance(node, Exp):
-        return np.exp(_eval_node(node.child, coords))
-    if isinstance(node, Pow):
-        base = _eval_node(node.base, coords)
-        return base ** node.exponent
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, coords)
-        b = _eval_node(node.right, coords)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        with np.errstate(divide="raise", invalid="raise"):
-            try:
-                return a / b
-            except FloatingPointError:
-                raise NonFiniteError("division by zero in symbol evaluation")
-    raise TypeError(f"unknown node {node!r}")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 
-def _eval_node_grad(node, coords, m, shape):
-    """Forward-mode value+gradient, vectorized over coordinate arrays."""
-    zeros = np.zeros(shape, dtype=complex)
-    if isinstance(node, Const):
-        return node.value + zeros, [zeros.copy() for _ in range(m)]
-    if isinstance(node, Var):
-        slot = _var_slot(node, m)
-        grad = [zeros.copy() for _ in range(m)]
-        grad[slot] = np.ones(shape, dtype=complex)
-        return coords[slot] + zeros, grad
-    if isinstance(node, Neg):
-        v, g = _eval_node_grad(node.child, coords, m, shape)
-        return -v, [-gi for gi in g]
-    if isinstance(node, Exp):
-        v, g = _eval_node_grad(node.child, coords, m, shape)
-        ev = np.exp(v)
-        return ev, [ev * gi for gi in g]
-    if isinstance(node, Pow):
-        v, g = _eval_node_grad(node.base, coords, m, shape)
-        k = node.exponent
+def _fold(node, const, var, exp):
+    """Evaluate the tree over one number ring with Python's operators
+    (+ - * /, unary -, ** k): const(value) and var(node) build the
+    leaves and exp(u) is the ring's exponential.  Operands are
+    evaluated left to right."""
+    def walk(node):
+        if isinstance(node, Const):
+            return const(node.value)
+        if isinstance(node, Var):
+            return var(node)
+        if isinstance(node, Neg):
+            return -walk(node.child)
+        if isinstance(node, Exp):
+            return exp(walk(node.child))
+        if isinstance(node, Pow):
+            return walk(node.base) ** node.exponent
+        if isinstance(node, BinOp):
+            left = walk(node.left)
+            return _BINARY[node.op](left, walk(node.right))
+        raise TypeError(f"unknown node {node!r}")
+    return walk(node)
+
+
+def _check_finite(values, message):
+    """Return values, or raise NonFiniteError(message) if any is inf or
+    nan: the check of a consumer that needs finite values from a
+    vectorized evaluator."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(message)
+    return values
+
+
+class _Dual:
+    """Value and gradient arrays of a subtree.  The operators are the
+    forward-mode rules; their floating-point operations and order fix
+    the bits eval_with_gradient returns (a quotient is a * (1/b), a
+    power v^(k-1) * v)."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad):
+        self.value = value
+        self.grad = grad
+
+    def __neg__(self):
+        return _Dual(-self.value, [-g for g in self.grad])
+
+    def __add__(self, other):
+        return _Dual(self.value + other.value,
+                     [a + b for a, b in zip(self.grad, other.grad)])
+
+    def __sub__(self, other):
+        return _Dual(self.value - other.value,
+                     [a - b for a, b in zip(self.grad, other.grad)])
+
+    def __mul__(self, other):
+        u, v = self.value, other.value
+        return _Dual(u * v, [a * v + u * b for a, b in zip(self.grad, other.grad)])
+
+    def __truediv__(self, other):
+        inv = 1.0 / other.value
+        q = self.value * inv
+        return _Dual(q, [(a - q * b) * inv for a, b in zip(self.grad, other.grad)])
+
+    def __pow__(self, k):
         if k == 0:
-            return np.ones(shape, dtype=complex), [zeros.copy() for _ in range(m)]
-        vk1 = v ** (k - 1)
-        return vk1 * v, [k * vk1 * gi for gi in g]
-    if isinstance(node, BinOp):
-        va, ga = _eval_node_grad(node.left, coords, m, shape)
-        vb, gb = _eval_node_grad(node.right, coords, m, shape)
-        if node.op == "+":
-            return va + vb, [x + y for x, y in zip(ga, gb)]
-        if node.op == "-":
-            return va - vb, [x - y for x, y in zip(ga, gb)]
-        if node.op == "*":
-            return va * vb, [x * vb + va * y for x, y in zip(ga, gb)]
-        inv = 1.0 / vb
-        v = va * inv
-        return v, [(x - v * y) * inv for x, y in zip(ga, gb)]
-    raise TypeError(f"unknown node {node!r}")
+            return _Dual(np.ones_like(self.value),
+                         [np.zeros_like(g) for g in self.grad])
+        vk1 = self.value ** (k - 1)
+        return _Dual(vk1 * self.value, [k * vk1 * g for g in self.grad])
+
+    def exp(self):
+        e = np.exp(self.value)
+        return _Dual(e, [e * g for g in self.grad])
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +574,16 @@ class PolySymbol:
             out = out * self
         return out
 
+    # ring operators for to_poly; division is by a constant polynomial
+    # (to_poly checks the tree first), read from its constant term
+    __pow__ = pow
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def __truediv__(self, other):
+        return self.scale(1.0 / other.coeffs.get((0,) * (2 * self.n), 0.0))
+
     def divided_derivative(self, slot, order):
         """(1/order!) * d^order/dw_slot^order — integer recombination only."""
         out = {}
@@ -582,32 +636,6 @@ def _poly_degree(node):
         if node.op == "*":
             return a + b
         return a if b == 0 else None
-    raise TypeError
-
-
-def _poly_from_node(node, n):
-    if isinstance(node, Const):
-        return PolySymbol.constant(n, node.value)
-    if isinstance(node, Var):
-        slot = (node.index - 1) if node.kind == "x" else (n + node.index - 1)
-        return PolySymbol.variable(n, slot)
-    if isinstance(node, Neg):
-        return _poly_from_node(node.child, n).scale(-1.0)
-    if isinstance(node, Exp):
-        arg = _poly_from_node(node.child, n)
-        return PolySymbol.constant(n, np.exp(arg.coeffs.get((0,) * (2 * n), 0.0)))
-    if isinstance(node, Pow):
-        return _poly_from_node(node.base, n).pow(node.exponent)
-    if isinstance(node, BinOp):
-        a = _poly_from_node(node.left, n)
-        b = _poly_from_node(node.right, n)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a.scale(1.0 / b.coeffs.get((0,) * (2 * n), 0.0))
     raise TypeError
 
 

@@ -34,7 +34,7 @@ from .quantize import (
 )
 from .quasimodes import bump
 from .spectral import eigendecompose, resolvent_norm
-from .symbols import SymbolExpr
+from .symbols import SymbolExpr, _check_finite
 
 __all__ = [
     "EscapeWeight",
@@ -153,7 +153,8 @@ def _flow_trajectories(p, z0, starts, T0, exit_tol, drift_tol=1e-8, dt0=1e-3):
         k3 = _hamilton_field(p, Wa + 0.5 * dt * k2)
         k4 = _hamilton_field(p, Wa + dt * k3)
         W_new = Wa + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        vals = p.eval_grid([W_new[:, k] for k in range(d)])
+        vals = _check_finite(p.eval_grid([W_new[:, k] for k in range(d)]),
+                             "symbol evaluation failed along the H_{Re p} flow")
         # per-step drift of Re p, conserved along its own flow
         drift = np.abs(np.real(vals) - e_prev[idx])
         if (drift > drift_tol * drift_ref[idx]).any() and dt > 1e-6:
@@ -374,7 +375,8 @@ def boundary_exclusion_experiment(p, z0, escape, h_list, build,
         zs = [z0 + radius * np.exp(2j * np.pi * k / circle_points)
               for k in range(circle_points)]
         Pe, rep = conjugate_operator(P, escape, eps, h, z_list=zs,
-                                     cond_cap=cond_cap * 10)
+                                     cond_cap=cond_cap * 10,
+                                     compare_spectra=False)
         spec = eigendecompose(P)
         m_h = spec.distance(z0)
         smin_circle = min(rep.sigma_min.values())
@@ -432,10 +434,12 @@ def dissipative_build(q: SymbolExpr, a: SymbolExpr, disc, h: float
     """
     n = q.n
     pts = _sample_window(disc, h)
-    qv = q.eval_grid([pts[:, k] for k in range(2 * n)])
+    qv = _check_finite(q.eval_grid([pts[:, k] for k in range(2 * n)]),
+                       "q evaluation failed on the window")
     if np.abs(qv.imag).max() > 1e-10 * max(1.0, np.abs(qv).max()):
         raise PspecError("q must be real-valued on the window")
-    av = a.eval_grid([pts[:, k] for k in range(2 * n)])
+    av = _check_finite(a.eval_grid([pts[:, k] for k in range(2 * n)]),
+                       "a evaluation failed on the window")
     if np.abs(av.imag).max() > 1e-10 * max(1.0, np.abs(av).max()):
         raise PspecError("a must be real-valued on the window")
     if av.real.min() < -1e-10 * max(1.0, np.abs(av).max()):

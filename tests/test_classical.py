@@ -8,7 +8,7 @@ from pspeclab.classical import (
     solve_level_set,
     winding_number,
 )
-from pspeclab.errors import ContourError, DegenerateValueError
+from pspeclab.errors import ContourError, DegenerateValueError, NonFiniteError
 from pspeclab.symbols import parse_symbol
 
 ROT = parse_symbol("xi1^2 + xi1*1i + x1^2", 1)
@@ -101,6 +101,23 @@ def test_winding_rejects_contour_zero():
     p = parse_symbol("xi1", 1)
     with pytest.raises(ContourError):
         winding_number(p, 2.0, 2.0)
+
+
+def test_winding_rejects_a_pole_on_the_contour():
+    # 1/x1 is infinite at t = 0 on |w| = 2; unchecked, the inf would
+    # read as a zero of p - z
+    with pytest.raises(NonFiniteError):
+        winding_number(parse_symbol("1/x1 + xi1", 1), 0.3, 2.0)
+
+
+@pytest.mark.parametrize("seeds", [24, 25])
+def test_level_set_with_seeds_on_a_pole(seeds):
+    # linspace(-3, 3, 25) puts a column of seeds on the pole x1 = 0;
+    # the only root of 1/x1 + i xi1 = 2 + i/2 is (1/2, 1/2)
+    p = parse_symbol("1/x1 + xi1*1i", 1)
+    ls = solve_level_set(p, 2 + 0.5j, BOX1, seeds_per_axis=seeds)
+    assert np.allclose(ls.solutions, [[0.5, 0.5]], atol=1e-8)
+    assert sign_sum(p, 2 + 0.5j, BOX1, seeds_per_axis=seeds) == 1
 
 
 def test_level_set_rational2_known_roots():

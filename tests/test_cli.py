@@ -286,6 +286,17 @@ def test_weight_command(tmp_path):
     assert len(payload["bumps"]) >= 1
 
 
+def test_weight_command_with_seeds_on_a_pole(tmp_path):
+    # the level-set seeds include the column x1 = 0, the pole of 1i/x1
+    cfg = {"symbol": "xi1 + 1i/x1", "z0": [0.5, 0.5],
+           "box": [[-2, 2], [-2, 2]], "T0": 2.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "w"
+    assert run_cli(["weight", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "weight.json").exists()
+
+
 def test_weight_dynamical_violation_exit_code(tmp_path):
     cfg = {"symbol": "xi1^2+xi2^2+x1^2-1i*x2^2", "dim": 2, "z0": [1.0, 0.0],
            "box": [[-1.6, 1.6]] * 4, "T0": 5.0}

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pspeclab.errors import NonFiniteError, SymbolSyntaxError, VariableIndexError
+from pspeclab.errors import (
+    JetDivisionError,
+    NonFiniteError,
+    SymbolSyntaxError,
+    VariableIndexError,
+)
+from pspeclab.jets import eval_jet
 from pspeclab.symbols import parse_symbol, symbol_from_poly
 
 
@@ -119,3 +125,91 @@ def test_symbol_from_poly_roundtrip():
     for _ in range(20):
         w = rng.uniform(-2, 2, size=2)
         assert back.eval(w) == pytest.approx(p.eval(w), rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one tree, four rings: random grammar trees through every evaluator
+
+_CONSTS = ["0.5", "2", "1.5i", "(0.5-2i)", "3"]
+
+
+def _combine(op, a, b):
+    # trees are (text, has a variable, has an exp); an operation on two
+    # constant subtrees is Python complex arithmetic, which raises
+    # ZeroDivisionError instead of returning inf, so one side gets a variable
+    if not (a[1] or b[1]):
+        b = (f"{b[0]}+x1", True, b[2])
+    return (f"({a[0]}){op}({b[0]})", True, a[2] or b[2])
+
+
+def _trees(n, ops, with_exp):
+    names = [f"{k}{i}" for k in ("x", "xi") for i in range(1, n + 1)]
+    leaf = st.one_of(st.sampled_from(names).map(lambda v: (v, True, False)),
+                     st.sampled_from(_CONSTS).map(lambda c: (c, False, False)))
+
+    def extend(sub):
+        parts = [st.builds(_combine, st.sampled_from(ops), sub, sub),
+                 sub.map(lambda a: (f"-({a[0]})", a[1], a[2])),
+                 st.builds(lambda a, k: (f"({a[0]})^{k}", a[1], a[2]),
+                           sub, st.integers(0, 3))]
+        if with_exp:
+            # exp(exp(u)) turns a last-bit difference in u into a relative
+            # error of |exp(u)| eps, so exp is not nested
+            parts.append(sub.filter(lambda a: not a[2]).map(
+                lambda a: (f"exp({a[0]})", a[1], True)))
+        return st.one_of(*parts)
+
+    return st.recursive(leaf, extend, max_leaves=8).map(lambda t: t[0])
+
+
+def _points(n, seed):
+    pts = np.random.default_rng(seed).uniform(-2, 2, size=(12, 2 * n))
+    pts[:4, 0] = 0.0      # on the poles of factors such as 1/x1
+    return pts
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluators_agree_on_random_trees(n, data):
+    p = parse_symbol(data.draw(_trees(n, "+-*/", True)), n)
+    pts = _points(n, data.draw(st.integers(0, 2 ** 32 - 1)))
+    coords = [pts[:, k] for k in range(2 * n)]
+    grid = p.eval_grid(coords)
+    _, grad = p.eval_with_gradient(coords)
+    for i, w in enumerate(pts):
+        # eval is eval_grid at one point, bit for bit; it raises where
+        # the value is not finite
+        try:
+            val = p.eval(w)
+        except NonFiniteError:
+            assert not np.isfinite(grid[i])
+        else:
+            assert _bits(val + 0j) == _bits(grid[i])
+        g = np.array([gk[i] for gk in grad])
+        if not np.isfinite(g).all():
+            continue
+        try:
+            jet = eval_jet(p, w, 1)
+        except (NonFiniteError, JetDivisionError):
+            continue
+        d = np.array([jet.derivative_value(e) for e in np.eye(2 * n, dtype=int)])
+        scale = max(np.abs(g).max(), np.abs(d).max(), 1.0)
+        assert np.abs(g - d).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_to_poly_matches_eval_on_random_polynomial_trees(n, data):
+    p = parse_symbol(data.draw(_trees(n, "+-*", False)), n)
+    poly = p.to_poly()
+    for w in _points(n, data.draw(st.integers(0, 2 ** 32 - 1))):
+        # rounding is relative to the sum of the absolute terms
+        scale = sum(abs(c) * np.prod(np.abs(w) ** np.array(a))
+                    for a, c in poly.coeffs.items())
+        assert abs(poly.eval(w) - p.eval(w)) <= 1e-12 * max(scale, 1.0)

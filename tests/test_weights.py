@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import pspeclab.weights as weights_module
 from pspeclab.errors import (
     ConditioningError,
     DynamicalConditionViolated,
+    NonFiniteError,
     PspecError,
 )
 from pspeclab.quantize import (
@@ -174,6 +176,35 @@ def test_boundary_exclusion_model_symbol():
     assert min(m_values) > 0.1
 
 
+def test_boundary_exclusion_factors_each_operator_once(monkeypatch):
+    # the rows never read the conjugated spectrum, so each h computes
+    # one eigendecomposition, and skipping the comparison changes no row
+    def build(h):
+        return weyl_quantize_poly(ROT, HermiteBasis(40), h)
+
+    def run():
+        return boundary_exclusion_experiment(
+            ROT, 0.0, parse_symbol("-x1/2", 1), [0.1, 0.05], build,
+            C2=1.0, cond_cap=1e8)
+
+    calls = []
+
+    def counting(P):
+        calls.append(P.h)
+        return eigendecompose(P)
+
+    monkeypatch.setattr(weights_module, "eigendecompose", counting)
+    rows = run()
+    assert calls == [0.1, 0.05]
+    conjugate = weights_module.conjugate_operator
+
+    def comparing(*args, **kwargs):
+        return conjugate(*args, **{**kwargs, "compare_spectra": True})
+
+    monkeypatch.setattr(weights_module, "conjugate_operator", comparing)
+    assert run() == rows
+
+
 # ---------------------------------------------------------------------------
 # dissipative suite
 
@@ -305,6 +336,14 @@ def test_proximity_random_vector_reports_only():
     rep = quasimode_spectrum_proximity(D, u, 0.5)
     assert rep["residual"] > 0.01 * D.P.norm() / 10
     assert np.isfinite(rep["ratio"])
+
+
+def test_dissipative_build_rejects_a_non_finite_sample():
+    # 0 * inf is nan on most of the window; nan passes the reality and
+    # sign checks, so the samples are checked for finiteness first
+    q = parse_symbol("xi1^2 + x1^2 + 0*exp(1000*x1^2)", 1)
+    with pytest.raises(NonFiniteError, match="on the window"):
+        dissipative_build(q, parse_symbol("0*x1", 1), FourierGrid(3.0, 32), 0.1)
 
 
 def test_boundary_exclusion_davies_imaginary_axis_reports():
