@@ -6,6 +6,7 @@ the same config and seed reproduces every artifact byte-for-byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -231,15 +232,11 @@ _MAGIC = b"PSPECOP1"
 
 
 def operator_to_file(path, op):
-    from .quantize import FourierGrid, HermiteBasis
-
+    """Write op; its basis is stored as its kind and fields, or as
+    {"kind": "raw"} when it has none."""
     basis = op.basis
-    if isinstance(basis, HermiteBasis):
-        bmeta = {"kind": "hermite", "M": basis.M, "n": basis.n}
-    elif isinstance(basis, FourierGrid):
-        bmeta = {"kind": "fourier", "L": basis.L, "M": basis.M, "n": basis.n}
-    else:
-        bmeta = {"kind": "raw"}
+    bmeta = ({"kind": "raw"} if basis is None
+             else {"kind": basis.kind, **dataclasses.asdict(basis)})
     header = json.dumps({
         "size": op.size,
         "h": op.h,
@@ -268,11 +265,7 @@ def operator_from_file(path):
         data = f.read()
     size = header["size"]
     mat = np.frombuffer(data, dtype=np.complex128).reshape(size, size).copy()
-    bmeta = header["basis"]
-    if bmeta["kind"] == "hermite":
-        basis = HermiteBasis(bmeta["M"], bmeta["n"])
-    elif bmeta["kind"] == "fourier":
-        basis = FourierGrid(bmeta["L"], bmeta["M"], bmeta["n"])
-    else:
-        basis = None
+    fields = dict(header["basis"])
+    cls = {c.kind: c for c in (HermiteBasis, FourierGrid)}.get(fields.pop("kind"))
+    basis = None if cls is None else cls(**fields)
     return OperatorMatrix(mat, header["h"], basis, header.get("provenance", ""))

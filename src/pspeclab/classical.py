@@ -167,7 +167,9 @@ def sigma_infinity(p: SymbolExpr, radii, n_dirs: int = 720,
         scale = np.median(np.abs(v2[finite])) if finite.any() else 1.0
         cluster_tol = 1e-2 * max(1.0, scale)
     big = (~np.isfinite(v1)) | (~np.isfinite(v2)) | (np.abs(v2) > divergence)
-    settled = ~big & (np.abs(v2 - v1) <= cluster_tol)
+    # compare only where both values are finite (inf - inf is nan)
+    settled = ~big
+    settled[settled] = np.abs(v2[settled] - v1[settled]) <= cluster_tol
     return SigmaInfinity(tuple(radii), v2[settled], radii[-1],
                          dirs[big], cluster_tol)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridResolutionError, NotPolynomialError, PspecError
-from .symbols import PolySymbol, SymbolExpr, _check_finite
+from .symbols import PolySymbol, SymbolExpr, _check_finite, symbol_from_poly
 
 __all__ = [
     "HermiteBasis",
@@ -50,8 +50,35 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # bases
 
+class _Basis:
+    """M modes or points per axis on n axes, indices row-major with axis 1
+    slowest.  Each subclass owns what depends on the discretization: its
+    `kind` (with its fields, the operator container's header), the outer
+    indices `_outer_1d` that `tail_mass` counts, the phase-space `window`
+    it resolves and its Weyl path `weyl`."""
+
+    @property
+    def size(self):
+        return self.M ** self.n
+
+    def tail_mass(self, vectors, frac=0.1):
+        """Fraction of squared mass on the outer `frac` of the indices
+        (`_outer_1d`) along any axis; vectors has shape (size, k)."""
+        v = np.abs(np.asarray(vectors)) ** 2
+        norms = v.sum(axis=0)
+        outer1 = self._outer_1d(frac)
+        mask = np.zeros((self.M,) * self.n, dtype=bool)
+        for axis in range(self.n):
+            sl = [np.newaxis] * self.n
+            sl[axis] = slice(None)
+            mask |= outer1[tuple(sl)]
+        tail = v.reshape((self.M,) * self.n + (-1,))[mask].reshape(-1, v.shape[-1]).sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(norms > 0, tail / norms, 0.0)
+
+
 @dataclass(frozen=True)
-class HermiteBasis:
+class HermiteBasis(_Basis):
     """h-scaled Hermite functions, M modes per axis, n axes.
 
     The basis diagonalizes (hD)^2 + x^2 with eigenvalues h(2k+1).
@@ -60,10 +87,20 @@ class HermiteBasis:
 
     M: int
     n: int = 1
+    kind = "hermite"
 
-    @property
-    def size(self):
-        return self.M ** self.n
+    def _outer_1d(self, frac):
+        return np.arange(self.M) >= int(np.ceil(self.M * (1 - frac)))
+
+    def window(self, h):
+        """Half-widths (2n,) of the box [-R, R]^2n the modes resolve: the
+        turning radius sqrt(2 h M) of the top mode, widened by 10%."""
+        return np.full(2 * self.n, math.sqrt(2 * h * self.M) * 1.1)
+
+    def weyl(self, p, h, xi_limit="auto"):
+        """weyl_quantize_poly; the basis has no dual window, so xi_limit
+        is not used."""
+        return weyl_quantize_poly(p, self, h)
 
     def ladder(self):
         """Lowering operator a with a[k-1, k] = sqrt(k)."""
@@ -84,24 +121,6 @@ class HermiteBasis:
         funcs = hermite_functions(self.M, x, h)
         return funcs.T @ np.asarray(coeffs, dtype=complex)
 
-    def tail_mass(self, vectors, frac=0.1):
-        """Fraction of squared mass on the top `frac` of mode indices
-        along any axis; vectors has shape (size, k)."""
-        v = np.abs(np.asarray(vectors)) ** 2
-        norms = v.sum(axis=0)
-        cut = int(np.ceil(self.M * (1 - frac)))
-        shape = (self.M,) * self.n + (-1,)
-        vt = v.reshape(shape)
-        mask = np.zeros((self.M,) * self.n, dtype=bool)
-        for axis in range(self.n):
-            sl = [slice(None)] * self.n
-            sl[axis] = slice(cut, None)
-            mask[tuple(sl)] = True
-        tail = vt[mask].reshape(-1, vt.shape[-1]).sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(norms > 0, tail / norms, 0.0)
-        return out
-
 
 def hermite_functions(M, x, h):
     """Array (M, len(x)) of h-scaled Hermite functions by recurrence."""
@@ -118,16 +137,13 @@ def hermite_functions(M, x, h):
 
 
 @dataclass(frozen=True)
-class FourierGrid:
+class FourierGrid(_Basis):
     """Uniform periodic grid on [-L, L) with M points per axis."""
 
     L: float
     M: int
     n: int = 1
-
-    @property
-    def size(self):
-        return self.M ** self.n
+    kind = "fourier"
 
     def points_1d(self):
         return -self.L + 2.0 * self.L * np.arange(self.M) / self.M
@@ -147,20 +163,19 @@ class FourierGrid:
         k = np.fft.fftfreq(self.M, d=1.0 / self.M)  # integers
         return h * np.pi * k / self.L
 
-    def tail_mass(self, vectors, frac=0.1):
-        """Squared-mass fraction in the outer `frac` of the box."""
-        v = np.abs(np.asarray(vectors)) ** 2
-        norms = v.sum(axis=0)
-        x = self.points_1d()
-        outer1 = np.abs(x) >= (1 - frac) * self.L
-        mask = np.zeros((self.M,) * self.n, dtype=bool)
-        for axis in range(self.n):
-            sl = [np.newaxis] * self.n
-            sl[axis] = slice(None)
-            mask |= outer1[tuple(sl)]
-        tail = v.reshape((self.M,) * self.n + (-1,))[mask].reshape(-1, v.shape[-1]).sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(norms > 0, tail / norms, 0.0)
+    def _outer_1d(self, frac):
+        return np.abs(self.points_1d()) >= (1 - frac) * self.L
+
+    def window(self, h):
+        """Half-widths (2n,) of the resolved box: L in x, and the largest
+        dual frequency pi h M / (2 L) in xi."""
+        xi_max = math.pi * h * self.M / (2 * self.L)
+        return np.array([self.L] * self.n + [xi_max] * self.n)
+
+    def weyl(self, p, h, xi_limit="auto"):
+        """weyl_quantize_grid without the dual-window check."""
+        return weyl_quantize_grid(p, self, h, xi_limit=xi_limit,
+                                  tail_frac_tol=1.0)
 
 
 @dataclass
@@ -198,7 +213,7 @@ def _as_poly(p, n=None) -> PolySymbol:
         return p
     if isinstance(p, SymbolExpr):
         return p.to_poly()
-    raise NotPolynomialError(f"cannot interpret {p!r} as a polynomial symbol")
+    raise NotPolynomialError(f"{type(p).__name__} is not a polynomial symbol")
 
 
 def _mccoy_1d(X, P, a, b):
@@ -210,18 +225,12 @@ def _mccoy_1d(X, P, a, b):
         return np.linalg.matrix_power(P, b)
     if b == 0:
         return np.linalg.matrix_power(X, a)
-    if a <= b:
-        inner, outer, m = P, X, a
-        pb = np.linalg.matrix_power(inner, b)
-        powers = [np.linalg.matrix_power(outer, r) for r in range(m + 1)]
-        out = sum(math.comb(m, r) * (powers[r] @ pb @ powers[m - r])
-                  for r in range(m + 1))
-        return out / 2.0 ** m
-    inner, outer, m = X, P, b
-    pb = np.linalg.matrix_power(inner, a)
-    powers = [np.linalg.matrix_power(outer, s) for s in range(m + 1)]
-    out = sum(math.comb(m, s) * (powers[s] @ pb @ powers[m - s])
-              for s in range(m + 1))
+    # split the factor of lower degree m around the other's k-th power
+    outer, m, inner, k = (X, a, P, b) if a <= b else (P, b, X, a)
+    pk = np.linalg.matrix_power(inner, k)
+    powers = [np.linalg.matrix_power(outer, r) for r in range(m + 1)]
+    out = sum(math.comb(m, r) * (powers[r] @ pk @ powers[m - r])
+              for r in range(m + 1))
     return out / 2.0 ** m
 
 
@@ -299,10 +308,6 @@ def _resolve_xi_limit(p, xi_limit, mids, xi):
         lo = _symbol_values(p, mids, np.full_like(mids, xi.min()))
         hi = _symbol_values(p, mids, np.full_like(mids, xi.max()))
         return 0.5 * (lo + hi)
-    if isinstance(xi_limit, SymbolExpr):
-        return xi_limit.eval_grid([mids, np.zeros_like(mids)])
-    if callable(xi_limit):
-        return np.asarray(xi_limit(mids), dtype=complex)
     return np.full_like(mids, complex(xi_limit), dtype=complex)
 
 
@@ -315,9 +320,16 @@ def weyl_quantize_grid(p, grid: FourierGrid, h: float, xi_limit="auto",
     times the quadrature weight dx, evaluated with one inverse DFT per
     midpoint after subtracting the xi-limit; the limit itself becomes a
     diagonal multiplication term.
+
+    p is a SymbolExpr, a PolySymbol or a callable p(X, XI).  xi_limit is
+    "auto" (the mean of p at the two extreme dual frequencies, per
+    midpoint), None (nothing subtracted) or a number.  tail_frac_tol
+    bounds the fraction of transform power the dual window may miss.
     """
     if grid.n != 1:
         raise PspecError("weyl_quantize_grid is restricted to n = 1")
+    if isinstance(p, PolySymbol):
+        p = symbol_from_poly(p)
     M = grid.M
     x = grid.points_1d()
     xi = grid.dual_1d(h)
@@ -446,13 +458,7 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
     elif isinstance(a, SymbolExpr) and a.polynomial_degree() is not None:
         poly = a.to_poly()
     if poly is not None:
-        smooth = gaussian_smooth_poly(poly)
-        if isinstance(basis, HermiteBasis):
-            op = weyl_quantize_poly(smooth, basis, h)
-        else:
-            from .symbols import symbol_from_poly
-            op = weyl_quantize_grid(symbol_from_poly(smooth), basis, h,
-                                    xi_limit=None, tail_frac_tol=1.0)
+        op = basis.weyl(gaussian_smooth_poly(poly), h, xi_limit=None)
         op.provenance = "wick(poly)"
         return op
     if not isinstance(basis, FourierGrid) or basis.n != 1:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, PspecError
-from .quantize import FourierGrid, HermiteBasis, OperatorMatrix
+from .quantize import OperatorMatrix
 
 __all__ = [
     "SpectrumReport",
@@ -61,12 +61,6 @@ class SpectrumReport:
         return float(np.abs(acc - z).min())
 
 
-def _tail_mass_for_basis(basis, vectors):
-    if isinstance(basis, (HermiteBasis, FourierGrid)):
-        return basis.tail_mass(vectors)
-    return np.zeros(vectors.shape[1])
-
-
 def eigendecompose(P: OperatorMatrix, residual_tol=RESIDUAL_TOL,
                    tail_tol=TAIL_TOL) -> SpectrumReport:
     """Dense nonsymmetric eigendecomposition plus acceptance filtering.
@@ -86,7 +80,7 @@ def eigendecompose(P: OperatorMatrix, residual_tol=RESIDUAL_TOL,
     R = A @ V - V * lam
     residuals = np.linalg.norm(R, axis=0)
     opnorm = P.norm()
-    tails = _tail_mass_for_basis(P.basis, V)
+    tails = np.zeros(V.shape[1]) if P.basis is None else P.basis.tail_mass(V)
     accepted = (residuals <= residual_tol * max(opnorm, 1e-300)) & (tails <= tail_tol)
     order = np.argsort(lam.real, kind="stable")
     return SpectrumReport(lam[order], residuals[order], tails[order],

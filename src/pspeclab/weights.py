@@ -24,14 +24,7 @@ from .errors import (
     EscapeConstructionError,
     PspecError,
 )
-from .quantize import (
-    FourierGrid,
-    HermiteBasis,
-    OperatorMatrix,
-    weyl_quantize_grid,
-    weyl_quantize_poly,
-    wick_quantize,
-)
+from .quantize import OperatorMatrix, wick_quantize
 from .quasimodes import bump
 from .spectral import eigendecompose, resolvent_norm
 from .symbols import SymbolExpr, _check_finite
@@ -289,16 +282,12 @@ class ConjugationReport:
 
 
 def _quantize_weight(G, basis, h):
+    # an EscapeWeight is a callable with compact support: no xi-limit,
+    # and no polynomial form for a Hermite basis
     if isinstance(G, EscapeWeight):
-        if not isinstance(basis, FourierGrid):
-            raise PspecError("EscapeWeight quantization needs a FourierGrid")
-        return weyl_quantize_grid(lambda X, XI: G(X, XI).astype(complex),
-                                  basis, h, xi_limit=None, tail_frac_tol=1.0)
+        return basis.weyl(G, h, xi_limit=None)
     if isinstance(G, SymbolExpr):
-        if isinstance(basis, HermiteBasis):
-            return weyl_quantize_poly(G, basis, h)
-        return weyl_quantize_grid(G, basis, h, xi_limit="auto",
-                                  tail_frac_tol=1.0)
+        return basis.weyl(G, h)
     raise PspecError("G must be a SymbolExpr or an EscapeWeight")
 
 
@@ -410,20 +399,6 @@ class DissipativeOperator:
         return self.P.h
 
 
-def _sample_window(basis, h, count=3000, seed=99):
-    rng = np.random.default_rng(seed)
-    if isinstance(basis, HermiteBasis):
-        R = math.sqrt(2 * h * basis.M) * 1.1
-        pts = rng.uniform(-R, R, size=(count, 2 * basis.n))
-    else:
-        n = basis.n
-        xi_max = math.pi * h * basis.M / (2 * basis.L)
-        xs = rng.uniform(-basis.L, basis.L, size=(count, n))
-        xis = rng.uniform(-xi_max, xi_max, size=(count, n))
-        pts = np.concatenate([xs, xis], axis=1)
-    return pts
-
-
 def dissipative_build(q: SymbolExpr, a: SymbolExpr, disc, h: float
                       ) -> DissipativeOperator:
     """P = Q - i W with Q = Weyl(q) (q real) and W = Wick(a) (a >= 0).
@@ -433,7 +408,8 @@ def dissipative_build(q: SymbolExpr, a: SymbolExpr, disc, h: float
     eigenvalue of W are certified on the matrices.
     """
     n = q.n
-    pts = _sample_window(disc, h)
+    R = disc.window(h)
+    pts = np.random.default_rng(99).uniform(-R, R, size=(3000, R.size))
     qv = _check_finite(q.eval_grid([pts[:, k] for k in range(2 * n)]),
                        "q evaluation failed on the window")
     if np.abs(qv.imag).max() > 1e-10 * max(1.0, np.abs(qv).max()):
@@ -444,12 +420,7 @@ def dissipative_build(q: SymbolExpr, a: SymbolExpr, disc, h: float
         raise PspecError("a must be real-valued on the window")
     if av.real.min() < -1e-10 * max(1.0, np.abs(av).max()):
         raise PspecError(f"sampled negativity of a: min = {av.real.min():.3e}")
-    if isinstance(disc, HermiteBasis):
-        Q = weyl_quantize_poly(q, disc, h)
-    else:
-        if disc.n != 1:
-            raise PspecError("grid discretization of Q is 1-D")
-        Q = weyl_quantize_grid(q, disc, h, xi_limit="auto", tail_frac_tol=1.0)
+    Q = disc.weyl(q, h)
     defect = Q.hermiticity_defect()
     if defect > 1e-10:
         raise PspecError(f"Hermiticity defect of Q too large: {defect:.3e}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,22 @@ def test_sigma_infinity_unbounded():
     p = parse_symbol("x1", 1)
     res = sigma_infinity(p, [10, 100, 1000], divergence=500.0)
     assert res.unbounded_directions.shape[0] > 0
+
+
+def test_sigma_infinity_compares_only_settled_directions():
+    # exp(x1^2) overflows to inf off the xi1 axis; only the 21 directions
+    # around each pole of the circle (x1 = 0) stay finite at R = 30 and 40
+    p = parse_symbol("exp(x1^2) + xi1", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sigma_infinity(p, [10, 30, 40])
+    theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    kept = np.r_[170:191, 530:551]
+    x, xi = 40.0 * dirs[kept].T
+    assert np.allclose(res.candidates, np.exp(x ** 2) + xi, rtol=1e-12, atol=0)
+    assert res.candidate_radius == 40.0
+    assert np.array_equal(res.unbounded_directions, np.delete(dirs, kept, axis=0))
 
 
 def test_sigma_infinity_second_rational():

@@ -1,4 +1,5 @@
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,13 @@ from pspeclab.artifacts import (
     write_pgm,
 )
 from pspeclab.cli import main
-from pspeclab.quantize import HermiteBasis, weyl_quantize_poly
+from pspeclab.quantize import (
+    FourierGrid,
+    HermiteBasis,
+    OperatorMatrix,
+    weyl_quantize_grid,
+    weyl_quantize_poly,
+)
 from pspeclab.symbols import parse_symbol
 
 
@@ -333,15 +340,34 @@ def test_quasimode_command(tmp_path):
     assert 0.9 <= payload["exponent"] <= 1.5
 
 
+def _container_basis_header(path):
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + hlen])["basis"]
+
+
 def test_operator_container_roundtrip(tmp_path):
-    op = weyl_quantize_poly(parse_symbol("xi1^2+xi1*1i+x1^2", 1),
-                            HermiteBasis(24), 0.1)
-    path = tmp_path / "op.bin"
-    operator_to_file(path, op)
-    back = operator_from_file(path)
-    assert np.array_equal(back.matrix, op.matrix)
-    assert back.h == op.h
-    assert back.basis == op.basis
+    rot = parse_symbol("xi1^2+xi1*1i+x1^2", 1)
+    ops = [
+        (weyl_quantize_poly(rot, HermiteBasis(24), 0.1),
+         {"kind": "hermite", "M": 24, "n": 1}),
+        (weyl_quantize_grid(rot, FourierGrid(6.5, 32), 0.1, xi_limit=None,
+                            tail_frac_tol=1.0),
+         {"kind": "fourier", "L": 6.5, "M": 32, "n": 1}),
+        # an operator without a basis is written as "raw", read back as None
+        (OperatorMatrix(np.arange(9.0).reshape(3, 3) * (1 - 2j), 0.3, None,
+                        provenance="raw-test"),
+         {"kind": "raw"}),
+    ]
+    for k, (op, header) in enumerate(ops):
+        path = tmp_path / f"op{k}.bin"
+        operator_to_file(path, op)
+        assert _container_basis_header(path) == header
+        back = operator_from_file(path)
+        assert np.array_equal(back.matrix, op.matrix)
+        assert back.h == op.h
+        assert back.basis == op.basis
+        assert back.provenance == op.provenance
 
 
 def test_pgm_format(tmp_path):

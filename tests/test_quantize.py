@@ -21,6 +21,36 @@ ROT = parse_symbol("xi1^2 + xi1*1i + x1^2", 1)
 OSC = parse_symbol("xi1^2 + x1^2", 1)
 
 
+def _hermite_outer(basis, frac):
+    cut = math.ceil(basis.M * (1 - frac))
+    return [k >= cut for k in range(basis.M)]
+
+
+def _grid_outer(basis, frac):
+    return [abs(x) >= (1 - frac) * basis.L for x in basis.points_1d()]
+
+
+@pytest.mark.parametrize("basis, outer", [
+    (HermiteBasis(10), _hermite_outer),
+    (HermiteBasis(7, n=2), _hermite_outer),
+    (FourierGrid(3.0, 20), _grid_outer),
+    (FourierGrid(2.5, 9, n=2), _grid_outer),
+])
+@pytest.mark.parametrize("frac", [0.1, 0.3])
+def test_tail_mass_counts_the_outer_indices_of_any_axis(basis, outer, frac):
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
+    V[:, 2] = 0.0   # a zero vector has no tail
+    out1 = outer(basis, frac)
+    expected = []
+    for v in V.T:
+        total = sum(abs(c) ** 2 for c in v)
+        tail = sum(abs(c) ** 2 for c, idx in zip(v, np.ndindex(*(basis.M,) * basis.n))
+                   if any(out1[k] for k in idx))
+        expected.append(tail / total if total > 0 else 0.0)
+    assert np.allclose(basis.tail_mass(V, frac=frac), expected, rtol=1e-12, atol=0)
+
+
 def test_harmonic_oscillator_diagonal():
     basis = HermiteBasis(64)
     op = weyl_quantize_poly(OSC, basis, h=0.1)

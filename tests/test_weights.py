@@ -147,6 +147,15 @@ def test_conjugation_eps_window_check():
                            eps_window=(0.0, 0.1))
 
 
+def test_escape_weight_has_no_hermite_quantization():
+    # an escape weight is a compactly supported callable: only the grid
+    # path quantizes it
+    esc = escape_weight(parse_symbol("xi1 + 1i*(x1^2 - 1)", 1), 0.0, BOX1, T0=5.0)
+    P = weyl_quantize_poly(ROT, HermiteBasis(32), 0.1)
+    with pytest.raises(PspecError, match="not a polynomial"):
+        conjugate_operator(P, esc, eps=0.1, h=0.1)
+
+
 def test_boundary_exclusion_rotated_oscillator():
     # spectrum 1/4 + h stays away from the parabola vertex z0 = 0
     def build(h):
@@ -257,6 +266,12 @@ def test_dissipative_rejects_negative_damping():
     with pytest.raises(PspecError, match="negativity"):
         dissipative_build(parse_symbol("xi1^2+x1^2", 1),
                           parse_symbol("-1+0*x1", 1), HermiteBasis(24), 0.1)
+
+
+def test_dissipative_rejects_a_2d_grid():
+    q = parse_symbol("xi1^2+xi2^2+x1^2+x2^2", 2)
+    with pytest.raises(PspecError, match="n = 1"):
+        dissipative_build(q, parse_symbol("x1^2", 2), FourierGrid(4.0, 8, n=2), 0.1)
 
 
 def test_dissipative_rejects_complex_q():
