@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import single_thread_below
 from .errors import GridResolutionError, NotPolynomialError, PspecError
 from .symbols import PolySymbol, SymbolExpr, _check_finite, symbol_from_poly
 
@@ -208,7 +209,7 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 # polynomial / Hermite path
 
-def _as_poly(p, n=None) -> PolySymbol:
+def _as_poly(p) -> PolySymbol:
     if isinstance(p, PolySymbol):
         return p
     if isinstance(p, SymbolExpr):
@@ -256,25 +257,26 @@ def weyl_quantize_poly(p, basis: HermiteBasis, h: float) -> OperatorMatrix:
     M = basis.M
     total = np.zeros((basis.size, basis.size), dtype=complex)
     cache = {}
-    for key, coeff in poly.coeffs.items():
-        factors = []
-        for axis in range(n):
-            a, b = key[axis], key[n + axis]
-            if (a, b) not in cache:
-                cache[(a, b)] = _mccoy_1d(X, P, a, b)[:M, :M]
-            factors.append(cache[(a, b)])
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        total += complex(coeff) * term
+    with single_thread_below(basis.size):
+        for key, coeff in poly.coeffs.items():
+            factors = []
+            for axis in range(n):
+                a, b = key[axis], key[n + axis]
+                if (a, b) not in cache:
+                    cache[(a, b)] = _mccoy_1d(X, P, a, b)[:M, :M]
+                factors.append(cache[(a, b)])
+            term = factors[0]
+            for f in factors[1:]:
+                term = np.kron(term, f)
+            total += complex(coeff) * term
     return OperatorMatrix(total, h, basis,
                           provenance=f"weyl_poly(deg={deg})")
 
 
-def _tail_dominance_check(poly, basis, h, warn_frac=0.01):
-    """Warn when the top Hermite coefficients of a monomial's action
-    would carry more than warn_frac of its norm (degree too high for
-    the basis size)."""
+def _tail_dominance_check(poly, basis, h):
+    """Raise GridResolutionError when the degree is too high for the
+    basis size: M <= degree, or the weight a top monomial sends past
+    mode M-1 exceeds 1e6 times its in-basis weight."""
     deg = poly.degree()
     M = basis.M
     if deg == 0:
@@ -337,9 +339,10 @@ def weyl_quantize_grid(p, grid: FourierGrid, h: float, xi_limit="auto",
     # the short arc, so the midpoint index m = j + l' lives on a 2M grid
     mids = -grid.L + grid.L * np.arange(2 * M) / M
     mids = np.where(mids >= grid.L, mids - 2 * grid.L, mids)
-    p_inf = _resolve_xi_limit(p, xi_limit, mids, xi)
-    prof = _symbol_values(p, mids[:, None], xi[None, :]) - p_inf[:, None]
-    A = _midpoint_kernel(prof, tail_frac_tol)
+    with single_thread_below(M):
+        p_inf = _resolve_xi_limit(p, xi_limit, mids, xi)
+        prof = _symbol_values(p, mids[:, None], xi[None, :]) - p_inf[:, None]
+        A = _midpoint_kernel(prof, tail_frac_tol)
     A[np.arange(M), np.arange(M)] += p_inf[2 * np.arange(M) % (2 * M)]
     return OperatorMatrix(A, h, grid, provenance="weyl_grid",
                           meta={"xi_window": float(np.abs(xi).max())})
@@ -482,13 +485,14 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
     # (samples indexed [xi, x]), then in x
     smooth_xi = np.empty((x.size, M), dtype=complex)
     step = max(1, 2 ** 14 // xi.size)
-    for r in range(0, x.size, step):
-        cols = slice(r, r + step)
-        block = _symbol_values(a, x[None, cols], xi[:, None])
-        block = np.broadcast_to(block, (xi.size, x[cols].size))
-        _check_finite(block, "symbol evaluation failed on the Wick lattice")
-        smooth_xi[cols] = _real_times_complex(Gxi, block).T
-    c = _real_times_complex(Gx, smooth_xi)
+    with single_thread_below(M):
+        for r in range(0, x.size, step):
+            cols = slice(r, r + step)
+            block = _symbol_values(a, x[None, cols], xi[:, None])
+            block = np.broadcast_to(block, (xi.size, x[cols].size))
+            _check_finite(block, "symbol evaluation failed on the Wick lattice")
+            smooth_xi[cols] = _real_times_complex(Gxi, block).T
+        c = _real_times_complex(Gx, smooth_xi)
     A = _midpoint_kernel(np.fft.ifftshift(c, axes=1), tail_frac_tol)
     return OperatorMatrix(A, h, basis, provenance="wick(lattice)",
                           meta={"xi_window": float(np.abs(basis.dual_1d(h)).max())})

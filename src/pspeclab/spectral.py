@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._blas import single_thread_below
 from .errors import ConvergenceError, PspecError
 from .quantize import OperatorMatrix
 
@@ -74,12 +75,13 @@ def eigendecompose(P: OperatorMatrix, residual_tol=RESIDUAL_TOL,
     A = P.matrix
     if A.shape[0] > EIG_SIZE_CAP:
         raise PspecError(f"matrix size {A.shape[0]} exceeds cap {EIG_SIZE_CAP}")
-    lam, V = scipy.linalg.eig(A)
-    norms = np.linalg.norm(V, axis=0)
-    V = V / norms
-    R = A @ V - V * lam
-    residuals = np.linalg.norm(R, axis=0)
-    opnorm = P.norm()
+    with single_thread_below(A.shape[0]):
+        lam, V = scipy.linalg.eig(A)
+        norms = np.linalg.norm(V, axis=0)
+        V = V / norms
+        R = A @ V - V * lam
+        residuals = np.linalg.norm(R, axis=0)
+        opnorm = P.norm()
     tails = np.zeros(V.shape[1]) if P.basis is None else P.basis.tail_mass(V)
     accepted = (residuals <= residual_tol * max(opnorm, 1e-300)) & (tails <= tail_tol)
     order = np.argsort(lam.real, kind="stable")
@@ -182,15 +184,17 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     """sigma_min(P - z I) = 1 / ||(P - z)^{-1}||.
 
     method "svd" is the reference path.  The others run inverse
-    iteration: "auto" on a Schur factor and "lu" on an LU factor
-    (cheapest for one z on a large matrix), both falling back to the
-    SVD on failure; "schur" raises ConvergenceError instead.
+    iteration: "auto" and "lu" on an LU factor of P - z, falling back
+    to the SVD on failure; "schur" on a complex Schur factor, raising
+    ConvergenceError instead.  For one z the LU factor costs a fraction
+    of the Schur form.
     """
     A = P.matrix if isinstance(P, OperatorMatrix) else np.asarray(P)
-    if method == "svd":
-        return _sigma_min_svd(A - z * np.eye(A.shape[0]))
-    solve = _lu_solves(A, z) if method == "lu" else _schur_solves(A)
-    sigma, _ = _sigma_min_shifts(A, [z], solve, strict=method == "schur")
+    with single_thread_below(A.shape[0]):
+        if method == "svd":
+            return _sigma_min_svd(A - z * np.eye(A.shape[0]))
+        solve = _schur_solves(A) if method == "schur" else _lu_solves(A, z)
+        sigma, _ = _sigma_min_shifts(A, [z], solve, strict=method == "schur")
     return float(sigma[0])
 
 
@@ -221,7 +225,9 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     together through the blocked inverse iteration, and nodes that fail
     it fall back to a full SVD (count logged in timing).  force_svd
     takes the SVD at every node.  threads is only recorded in timing:
-    neither the work nor the output depends on it.
+    neither the work nor the output depends on it.  The BLAS thread
+    count the kernels ran at (one below _blas.SINGLE_THREAD_BELOW, None
+    when it cannot be set) is recorded as blas_threads.
     """
     re_min, re_max, im_min, im_max = map(float, rectangle)
     n_re, n_im = shape
@@ -230,24 +236,26 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     re = np.linspace(re_min, re_max, n_re)
     im = np.linspace(im_min, im_max, n_im)
     A = P.matrix
-    floor = FLOOR_FACTOR * np.finfo(float).eps * max(P.norm(), 1e-300)
     zs = (re[:, None] + 1j * im[None, :]).ravel()
-    t0 = time.perf_counter()
-    if force_svd:
-        t1 = time.perf_counter()
-        eye = np.eye(A.shape[0])
-        sigma, fallbacks = np.array([_sigma_min_svd(A - z * eye) for z in zs]), 0
-    else:
-        solve = _schur_solves(A)
-        t1 = time.perf_counter()
-        sigma, fallbacks = _sigma_min_shifts(A, zs, solve)
-    t_sweep = time.perf_counter() - t1
+    with single_thread_below(A.shape[0]) as blas_threads:
+        floor = FLOOR_FACTOR * np.finfo(float).eps * max(P.norm(), 1e-300)
+        t0 = time.perf_counter()
+        if force_svd:
+            t1 = time.perf_counter()
+            eye = np.eye(A.shape[0])
+            sigma, fallbacks = np.array([_sigma_min_svd(A - z * eye) for z in zs]), 0
+        else:
+            solve = _schur_solves(A)
+            t1 = time.perf_counter()
+            sigma, fallbacks = _sigma_min_shifts(A, zs, solve)
+        t_sweep = time.perf_counter() - t1
     sigma = sigma.reshape(n_re, n_im)
     floored = sigma < floor
     sigma = np.where(floored, floor, sigma)
     timing = {"factorization_s": t1 - t0, "sweep_s": t_sweep,
               "nodes": n_re * n_im, "svd_fallbacks": fallbacks,
-              "threads": threads, "force_svd": force_svd}
+              "threads": threads, "blas_threads": blas_threads,
+              "force_svd": force_svd}
     return ResolventGrid(re, im, sigma, floored, P.h, floor, timing)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._blas import single_thread_below
 from .classical import solve_level_set
 from .errors import (
     ConditioningError,
@@ -304,39 +305,40 @@ def conjugate_operator(P: OperatorMatrix, G, eps: float, h: float,
         lo, hi = eps_window
         if not lo <= eps <= hi:
             raise PspecError(f"eps = {eps} outside the window {eps_window}")
-    Gop = _quantize_weight(G, P.basis, h)
-    W = (eps / h) * Gop.matrix
-    herm = np.linalg.norm(W - W.conj().T) <= 1e-12 * max(np.linalg.norm(W), 1e-300)
-    if eps == 0:
-        E = np.eye(P.size)
-        Einv = np.eye(P.size)
-        cond = 1.0
-    elif herm:
-        lam = np.linalg.eigvalsh((W + W.conj().T) / 2)
-        cond = float(np.exp(lam.max() - lam.min()))
-        if cond > cond_cap:
-            raise ConditioningError(
-                f"weight too strong for this basis: cond(E) = {cond:.3e}")
-        E = scipy.linalg.expm(W)
-        Einv = scipy.linalg.expm(-W)
-    else:
-        E = scipy.linalg.expm(W)
-        Einv = scipy.linalg.expm(-W)
-        cond = float(np.linalg.norm(E, 2) * np.linalg.norm(Einv, 2))
-        if cond > cond_cap:
-            raise ConditioningError(
-                f"weight too strong for this basis: cond(E) = {cond:.3e}")
-    Pe_mat = E @ P.matrix @ Einv
-    Pe = OperatorMatrix(Pe_mat, h, P.basis,
-                        provenance=f"conjugate(eps={eps})", meta=dict(P.meta))
-    displacement = None
-    if compare_spectra and P.size <= 600:
-        a = eigendecompose(P).accepted_eigenvalues
-        b = np.linalg.eigvals(Pe_mat)
-        if a.size:
-            displacement = float(max(np.abs(b - lam).min() for lam in a))
-    sig = {complex(z): resolvent_norm(Pe, complex(z), method="svd")
-           for z in z_list}
+    with single_thread_below(P.size):
+        Gop = _quantize_weight(G, P.basis, h)
+        W = (eps / h) * Gop.matrix
+        herm = np.linalg.norm(W - W.conj().T) <= 1e-12 * max(np.linalg.norm(W), 1e-300)
+        if eps == 0:
+            E = np.eye(P.size)
+            Einv = np.eye(P.size)
+            cond = 1.0
+        elif herm:
+            lam = np.linalg.eigvalsh((W + W.conj().T) / 2)
+            cond = float(np.exp(lam.max() - lam.min()))
+            if cond > cond_cap:
+                raise ConditioningError(
+                    f"weight too strong for this basis: cond(E) = {cond:.3e}")
+            E = scipy.linalg.expm(W)
+            Einv = scipy.linalg.expm(-W)
+        else:
+            E = scipy.linalg.expm(W)
+            Einv = scipy.linalg.expm(-W)
+            cond = float(np.linalg.norm(E, 2) * np.linalg.norm(Einv, 2))
+            if cond > cond_cap:
+                raise ConditioningError(
+                    f"weight too strong for this basis: cond(E) = {cond:.3e}")
+        Pe_mat = E @ P.matrix @ Einv
+        Pe = OperatorMatrix(Pe_mat, h, P.basis,
+                            provenance=f"conjugate(eps={eps})", meta=dict(P.meta))
+        displacement = None
+        if compare_spectra and P.size <= 600:
+            a = eigendecompose(P).accepted_eigenvalues
+            b = np.linalg.eigvals(Pe_mat)
+            if a.size:
+                displacement = float(max(np.abs(b - lam).min() for lam in a))
+        sig = {complex(z): resolvent_norm(Pe, complex(z), method="svd")
+               for z in z_list}
     return Pe, ConjugationReport(float(eps), cond, displacement, sig)
 
 
@@ -428,7 +430,8 @@ def dissipative_build(q: SymbolExpr, a: SymbolExpr, disc, h: float
     Q = OperatorMatrix(Qm, h, disc, provenance=Q.provenance, meta=dict(Q.meta))
     W = wick_quantize(a, disc, h)
     Wm = (W.matrix + W.matrix.conj().T) / 2
-    wmin = float(np.linalg.eigvalsh(Wm).min())
+    with single_thread_below(disc.size):
+        wmin = float(np.linalg.eigvalsh(Wm).min())
     W = OperatorMatrix(Wm, h, disc, provenance=W.provenance, meta=dict(W.meta))
     P = OperatorMatrix(Qm - 1j * Wm, h, disc, provenance="dissipative")
     return DissipativeOperator(Q, W, P, defect, wmin, n)
@@ -438,7 +441,8 @@ def dissipative_resolvent_check(D: DissipativeOperator, z_list,
                                 tol: float = None):
     """sigma_min(P - z) >= Im z - tol for Im z > 0; reports margins."""
     if tol is None:
-        tol = 1e-8 * D.P.norm()
+        with single_thread_below(D.P.size):
+            tol = 1e-8 * D.P.norm()
     rows = []
     for z in z_list:
         z = complex(z)

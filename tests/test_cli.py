@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pspeclab import _blas
 from pspeclab.artifacts import (
     operator_from_file,
     operator_to_file,
@@ -108,6 +109,8 @@ def test_psgrid_artifacts_and_determinism(tmp_path):
         man = json.loads((out / "manifest.json").read_text())
         assert {"grid.csv", "grid.pgm", "grid_pgm.json",
                 "contours.json"} <= set(man["artifacts"])
+        assert man["timing"]["blas_threads"] == (
+            1 if _blas._find_controls() else None)
         hashes.append(man["artifacts"]["grid.csv"])
     assert hashes[0] == hashes[1]
 

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pspeclab import spectral
+from pspeclab import _blas, spectral
 from pspeclab.errors import ConvergenceError, PspecError
 from pspeclab.quantize import HermiteBasis, OperatorMatrix, weyl_quantize_poly
 from pspeclab.spectral import (
@@ -82,6 +88,14 @@ def test_fast_path_matches_svd_random(method):
         assert abs(s1 - s2) <= 1e-8 * max(s1, 1e-12)
 
 
+def test_auto_is_the_lu_path_for_one_shift():
+    op = weyl_quantize_poly(ROT, HermiteBasis(200), h=0.05)
+    auto = resolvent_norm(op, 2.0 + 1.0j, method="auto")
+    assert auto == resolvent_norm(op, 2.0 + 1.0j, method="lu")
+    assert auto == pytest.approx(resolvent_norm(op, 2.0 + 1.0j, method="svd"),
+                                 rel=1e-10)
+
+
 def test_resolvent_norm_at_an_eigenvalue():
     # z = 0.3 = 3h is an eigenvalue: the solves hit a zero pivot
     op = weyl_quantize_poly(OSC, HermiteBasis(64), h=0.1)
@@ -102,8 +116,12 @@ def test_grid_nodes_match_single_shift(monkeypatch, shifts_per_block):
     grid = pseudospectrum_grid(op, (-0.6, -0.4, -1.1, -0.9), (5, 5))
     assert 0 < grid.timing["svd_fallbacks"] < grid.sigma.size
     for z, sigma in zip(grid.node_values().ravel(), grid.sigma.ravel()):
-        ref = max(resolvent_norm(op, z, method="auto"), grid.floor)
-        assert sigma == pytest.approx(ref, rel=1e-12)
+        # the grid's own path for one shift: Schur, or the SVD on failure
+        try:
+            ref = resolvent_norm(op, z, method="schur")
+        except ConvergenceError:
+            ref = resolvent_norm(op, z, method="svd")
+        assert sigma == pytest.approx(max(ref, grid.floor), rel=1e-12)
 
 
 def _fourier_collocation(h, N=512, L=8.0):
@@ -152,6 +170,102 @@ def test_grid_threads_bitwise_identical():
     g1 = pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (12, 10), threads=1)
     g8 = pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (12, 10), threads=8)
     assert g1.sigma.tobytes() == g8.sigma.tobytes()
+    assert g1.timing["blas_threads"] == (1 if _blas._find_controls() else None)
+
+
+_CRITERION_14_GRID = """
+import hashlib, json
+from pspeclab import (HermiteBasis, parse_symbol, pseudospectrum_grid,
+                      weyl_quantize_poly)
+op = weyl_quantize_poly(parse_symbol("xi1^2 + xi1*1i + x1^2", 1),
+                        HermiteBasis(200), 0.05)
+g = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (101, 81))
+print(json.dumps({"sigma": hashlib.sha256(g.sigma.tobytes()).hexdigest(),
+                  "floored": hashlib.sha256(g.floored.tobytes()).hexdigest(),
+                  "svd_fallbacks": g.timing["svd_fallbacks"]}))
+"""
+
+
+def test_grid_bytes_do_not_depend_on_blas_threads():
+    # the criterion-14 grid: at the default two threads a shift near the
+    # step cap converges or falls back on last-bit rounding
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _CRITERION_14_GRID],
+                             env=env, capture_output=True, text=True,
+                             timeout=600, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0] == runs[1]
+
+
+class _FakeBlas:
+    """A thread setter and getter pair that records every set."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def set(self, n):
+        self.sets.append(n)
+        self.threads = n
+
+    def get(self):
+        return self.threads
+
+
+def _fakes(*counts):
+    libs = [_FakeBlas(n) for n in counts]
+    return libs, [(lib.set, lib.get) for lib in libs]
+
+
+def test_limiter_restores_counts_on_exit_and_on_error():
+    libs, controls = _fakes(2, 4, 1)
+    with _blas.single_thread_below(200, controls) as threads:
+        assert threads == 1
+        assert [lib.threads for lib in libs] == [1, 1, 1]
+    assert [lib.threads for lib in libs] == [2, 4, 1]
+    # a library already at one thread is never set, so no count rises
+    assert libs[2].sets == []
+    with pytest.raises(ZeroDivisionError):
+        with _blas.single_thread_below(200, controls):
+            1 / 0
+    assert [lib.threads for lib in libs] == [2, 4, 1]
+
+
+def test_limiter_nests():
+    libs, controls = _fakes(2, 2)
+    with _blas.single_thread_below(100, controls):
+        with _blas.single_thread_below(50, controls) as inner:
+            assert inner == 1
+        assert [lib.threads for lib in libs] == [1, 1]
+    assert [lib.threads for lib in libs] == [2, 2]
+    assert libs[0].sets == [1, 2]
+
+
+def test_limiter_leaves_large_kernels_alone():
+    libs, controls = _fakes(2, 3)
+    with _blas.single_thread_below(_blas.SINGLE_THREAD_BELOW, controls) as threads:
+        assert threads == 3
+        assert [lib.threads for lib in libs] == [2, 3]
+    assert libs[0].sets == libs[1].sets == []
+
+
+def test_limiter_without_setters_is_a_recorded_no_op():
+    with _blas.single_thread_below(10, []) as threads:
+        assert threads is None
+
+
+def test_limiter_sets_the_loaded_openblas_copies():
+    controls = _blas._find_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread setter in this process")
+    before = [get() for _, get in controls]
+    with _blas.single_thread_below(10):
+        assert [get() for _, get in controls] == [1] * len(controls)
+    assert [get() for _, get in controls] == before
 
 
 def test_grid_fast_vs_svd_path():
