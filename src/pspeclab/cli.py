@@ -501,11 +501,11 @@ def cmd_repro(args):
         print(f"{r['name']:<{width}} {r['measured']:>14} {r['expected']:>22} "
               f"{verdict}")
     if args.out:
-        run = _Run(args.out)
-        io.write_json(run.path("repro.json"),
-                      {"suite": args.suite, "rows": rows,
-                       "all_pass": all_pass})
-        run.manifest({"suite": args.suite})
+        with _Run(args.out) as run:
+            io.write_json(run.path("repro.json"),
+                          {"suite": args.suite, "rows": rows,
+                           "all_pass": all_pass})
+            run.manifest({"suite": args.suite})
     return 0 if all_pass else 1
 
 

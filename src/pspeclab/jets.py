@@ -12,6 +12,7 @@ when the value at the point is not finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 
@@ -22,18 +23,14 @@ from .symbols import SymbolExpr, _fold, _var_slot
 
 __all__ = ["Jet", "eval_jet", "multi_indices", "compose_jet"]
 
-_MI_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-
+@functools.cache
 def multi_indices(nvars: int, degree: int):
     """All exponent tuples over `nvars` variables with total degree <= degree."""
-    key = (nvars, degree)
-    if key not in _MI_CACHE:
-        out = [idx for idx in product(range(degree + 1), repeat=nvars)
-               if sum(idx) <= degree]
-        out.sort(key=lambda a: (sum(a), a))
-        _MI_CACHE[key] = out
-    return _MI_CACHE[key]
+    out = [idx for idx in product(range(degree + 1), repeat=nvars)
+           if sum(idx) <= degree]
+    out.sort(key=lambda a: (sum(a), a))
+    return out
 
 
 class Jet:

@@ -23,6 +23,7 @@ FBI transform for phase-space localization checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -383,31 +384,22 @@ def _dual_window_check(rows, tol):
 
 def schrodinger_matrix(V, grid: FourierGrid, h: float) -> OperatorMatrix:
     """-h^2 Laplacian (periodic spectral) plus diagonal potential."""
-    if grid.n not in (1, 2):
+    n, M = grid.n, grid.M
+    if n not in (1, 2):
         raise PspecError("schrodinger_matrix supports n in {1, 2}")
-    M = grid.M
     mult = grid.dual_1d(h) ** 2
     F = np.fft.fft(np.eye(M), axis=0)
     D2 = np.fft.ifft(mult[:, None] * F, axis=0)
-    if grid.n == 1:
-        x = grid.points_1d()
-        if isinstance(V, SymbolExpr):
-            Vx = V.eval_grid([x, np.zeros_like(x)])
-        else:
-            Vx = np.asarray(V(x), dtype=complex)
-        A = D2 + np.diag(Vx)
+    # the 1-D second derivative acting on each axis of the row-major grid
+    lap = functools.reduce(np.add, (
+        np.kron(np.kron(np.eye(M ** k), D2), np.eye(M ** (n - 1 - k)))
+        for k in range(n)))
+    cols = list(grid.points().T)
+    if isinstance(V, SymbolExpr):
+        Vx = V.eval_grid(cols + [np.zeros(grid.size)] * n)
     else:
-        eye = np.eye(M)
-        lap = np.kron(D2, eye) + np.kron(eye, D2)
-        pts = grid.points()
-        if isinstance(V, SymbolExpr):
-            coords = [pts[:, 0], pts[:, 1],
-                      np.zeros(grid.size), np.zeros(grid.size)]
-            Vx = V.eval_grid(coords)
-        else:
-            Vx = np.asarray(V(pts[:, 0], pts[:, 1]), dtype=complex)
-        A = lap + np.diag(Vx)
-    return OperatorMatrix(A, h, grid, provenance="schrodinger")
+        Vx = np.asarray(V(*cols), dtype=complex)
+    return OperatorMatrix(lap + np.diag(Vx), h, grid, provenance="schrodinger")
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +606,6 @@ class FBIField:
         return float(w2[out].sum() / total)
 
 
-_FBI_CAL_CACHE: dict = {}
-
-
 def fbi_transform(u, grid: FourierGrid, h: float, x_out, xi_out,
                   boundary_tol: float = 1e-8) -> FBIField:
     """Gaussian-windowed transform Tu(x, xi) over the phase-space grid.
@@ -636,10 +625,7 @@ def fbi_transform(u, grid: FourierGrid, h: float, x_out, xi_out,
             f"window leakage: |u| at the boundary is {edge / amax:.2e} of max")
     x_out = np.asarray(x_out, dtype=float)
     xi_out = np.asarray(xi_out, dtype=float)
-    key = (grid, float(h))
-    if key not in _FBI_CAL_CACHE:
-        _FBI_CAL_CACHE[key] = _fbi_calibration(grid, h)
-    cal = _FBI_CAL_CACHE[key]
+    cal = _fbi_calibration(grid, float(h))
     vals = _fbi_raw(u, y, grid.dx, h, x_out, xi_out) * cal
     return FBIField(x_out, xi_out, vals, h, cal,
                     float((np.abs(u) ** 2).sum() * grid.dx))
@@ -655,6 +641,7 @@ def _fbi_raw(u, y, dy, h, x_out, xi_out):
     return core * outer * dy
 
 
+@functools.cache
 def _fbi_calibration(grid, h):
     """Match a unit-norm Gaussian to a unit-mass field on a wide
     reference output grid."""

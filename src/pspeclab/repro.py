@@ -28,7 +28,8 @@ from .quasimodes import build_quasimode, localization_report, residual_sweep
 from .spectral import eigendecompose, pseudospectrum_grid, resolvent_norm, \
     scaling_fit
 from .symbols import parse_symbol
-from .weights import conjugate_operator, dissipative_build
+from .weights import conjugate_operator, dissipative_build, \
+    quasimode_spectrum_proximity
 
 ROTATED = "xi1^2 + xi1*1i + x1^2"
 RATIONAL_SECTION3 = ("(xi1^2-1+1i*xi1*x1^2/(1+x1^2))"
@@ -151,11 +152,8 @@ def davies_experiment(M=24, h=0.1):
     acc2 = spec2.accepted_eigenvalues
     bas1 = HermiteBasis(M)
     A1 = weyl_quantize_poly(parse_symbol("xi1^2+x1^2", 1), bas1, h)
-    from .quantize import OperatorMatrix
-    A2 = OperatorMatrix(
-        weyl_quantize_poly(parse_symbol("xi1^2", 1), bas1, h).matrix
-        - 1j * wick_quantize(parse_symbol("x1^2", 1), bas1, h).matrix,
-        h, bas1)
+    A2 = dissipative_build(parse_symbol("xi1^2", 1), parse_symbol("x1^2", 1),
+                           bas1, h).P
     sums = (eigendecompose(A1).accepted_eigenvalues[:, None]
             + eigendecompose(A2).accepted_eigenvalues[None, :]).ravel()
     oracle_err = float(max(np.abs(sums - lam).min() for lam in acc2))
@@ -207,9 +205,6 @@ def proximity_experiment(h, grid_L=7.0, grid_M=512, support_r2=6.0,
                          strength=1e-2):
     """Vanishing-damping proximity: ground state of the oscillator under
     a Wick damping supported away from the origin."""
-    from .quantize import OperatorMatrix
-    from .weights import DissipativeOperator, quasimode_spectrum_proximity
-
     grid = FourierGrid(grid_L, grid_M)
     q = parse_symbol("xi1^2 + x1^2", 1)
 
@@ -217,17 +212,10 @@ def proximity_experiment(h, grid_L=7.0, grid_M=512, support_r2=6.0,
         s = X ** 2 + XI ** 2 - support_r2
         return np.where(s > 0, s, 0.0) ** 3 * strength
 
-    Q = weyl_quantize_grid(q, grid, h, xi_limit=None, tail_frac_tol=1.0)
-    W = wick_quantize(damping, grid, h)
-    Qm = (Q.matrix + Q.matrix.conj().T) / 2
-    Wm = (W.matrix + W.matrix.conj().T) / 2
-    D = DissipativeOperator(
-        OperatorMatrix(Qm, h, grid), OperatorMatrix(Wm, h, grid),
-        OperatorMatrix(Qm - 1j * Wm, h, grid), 0.0,
-        float(np.linalg.eigvalsh(Wm).min()), 1)
+    D = dissipative_build(q, damping, grid, h)
     x = grid.points_1d()
     u = hermite_functions(1, x, h)[0].astype(complex)
-    shift = float(np.real(np.vdot(u, Wm @ u) / np.vdot(u, u)))
+    shift = float(np.real(np.vdot(u, D.W.matrix @ u) / np.vdot(u, u)))
     return quasimode_spectrum_proximity(D, u, h + shift)
 
 

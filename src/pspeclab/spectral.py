@@ -189,6 +189,9 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     ConvergenceError instead.  For one z the LU factor costs a fraction
     of the Schur form.
     """
+    if method not in ("svd", "auto", "lu", "schur"):
+        raise ValueError(f"unknown resolvent_norm method {method!r}; "
+                         "expected 'svd', 'auto', 'lu' or 'schur'")
     A = P.matrix if isinstance(P, OperatorMatrix) else np.asarray(P)
     with single_thread_below(A.shape[0]):
         if method == "svd":

@@ -401,22 +401,30 @@ class DissipativeOperator:
         return self.P.h
 
 
-def dissipative_build(q: SymbolExpr, a: SymbolExpr, disc, h: float
+def dissipative_build(q: SymbolExpr, a, disc, h: float
                       ) -> DissipativeOperator:
     """P = Q - i W with Q = Weyl(q) (q real) and W = Wick(a) (a >= 0).
 
-    The reality of q and nonnegativity of a are checked by sampling on
-    the discretization window; Hermiticity of Q and the minimum
-    eigenvalue of W are certified on the matrices.
+    a is a SymbolExpr or, on a 1-D FourierGrid, a plain callable
+    a(X, XI), as wick_quantize accepts.  The reality of q and
+    nonnegativity of a are checked by sampling on the discretization
+    window; Hermiticity of Q and the minimum eigenvalue of W are
+    certified on the matrices.
     """
     n = q.n
     R = disc.window(h)
     pts = np.random.default_rng(99).uniform(-R, R, size=(3000, R.size))
-    qv = _check_finite(q.eval_grid([pts[:, k] for k in range(2 * n)]),
-                       "q evaluation failed on the window")
+    cols = [pts[:, k] for k in range(2 * n)]
+    qv = _check_finite(q.eval_grid(cols), "q evaluation failed on the window")
     if np.abs(qv.imag).max() > 1e-10 * max(1.0, np.abs(qv).max()):
         raise PspecError("q must be real-valued on the window")
-    av = _check_finite(a.eval_grid([pts[:, k] for k in range(2 * n)]),
+    if isinstance(a, SymbolExpr):
+        av = a.eval_grid(cols)
+    elif n == 1:
+        av = a(*cols)
+    else:
+        raise PspecError("a callable damping needs n = 1")
+    av = _check_finite(np.asarray(av, dtype=complex),
                        "a evaluation failed on the window")
     if np.abs(av.imag).max() > 1e-10 * max(1.0, np.abs(av).max()):
         raise PspecError("a must be real-valued on the window")

@@ -264,6 +264,21 @@ def test_unexpected_exception_exits_3_without_partial_artifacts(tmp_path,
     assert list(out.iterdir()) == []
 
 
+def test_repro_manifest_failure_leaves_no_partial_artifacts(tmp_path,
+                                                           monkeypatch):
+    def suite(name):
+        return [{"name": "row", "measured": "1", "expected": "1", "ok": True}], True
+
+    def boom(path):
+        raise OSError("injected")
+
+    monkeypatch.setattr("pspeclab.cli.run_reproduction_suite", suite)
+    monkeypatch.setattr("pspeclab.artifacts.sha256_file", boom)
+    out = tmp_path / "repro"
+    assert run_cli(["repro", "invariants", "--out", str(out)]) == 3
+    _assert_failed_cleanly(out, "OSError")
+
+
 FUZZ_POOL = [None, True, "abc", [], [[]], {}, float("nan"), float("inf"),
              float("-inf"), -1, 0, 0.5]
 FUZZ_SLOTS = [(name, key) for name in sorted(VALID) if name != "scaling-decay"

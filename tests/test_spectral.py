@@ -96,6 +96,11 @@ def test_auto_is_the_lu_path_for_one_shift():
                                  rel=1e-10)
 
 
+def test_resolvent_norm_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="'svd', 'auto', 'lu' or 'schur'"):
+        resolvent_norm(np.diag([1.0, 2.0, 3.0]) + 0j, 0.5, method="svds")
+
+
 def test_resolvent_norm_at_an_eigenvalue():
     # z = 0.3 = 3h is an eigenvalue: the solves hit a zero pivot
     op = weyl_quantize_poly(OSC, HermiteBasis(64), h=0.1)

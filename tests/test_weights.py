@@ -11,16 +11,12 @@ from pspeclab.errors import (
 from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
-    OperatorMatrix,
-    hermite_functions,
     weyl_quantize_grid,
     weyl_quantize_poly,
-    wick_quantize,
 )
 from pspeclab.spectral import eigendecompose
 from pspeclab.symbols import parse_symbol
 from pspeclab.weights import (
-    DissipativeOperator,
     boundary_exclusion_experiment,
     conjugate_operator,
     dissipative_build,
@@ -229,10 +225,8 @@ def test_davies_build_and_tensor_oracle():
     assert acc2.imag.max() <= 1e-8
     bas1 = HermiteBasis(24)
     A1 = weyl_quantize_poly(parse_symbol("xi1^2+x1^2", 1), bas1, h)
-    W1 = wick_quantize(parse_symbol("x1^2", 1), bas1, h)
-    A2 = OperatorMatrix(
-        weyl_quantize_poly(parse_symbol("xi1^2", 1), bas1, h).matrix
-        - 1j * W1.matrix, h, bas1)
+    A2 = dissipative_build(parse_symbol("xi1^2", 1), parse_symbol("x1^2", 1),
+                           bas1, h).P
     sums = (eigendecompose(A1).accepted_eigenvalues[:, None]
             + eigendecompose(A2).accepted_eigenvalues[None, :]).ravel()
     for lam in acc2:
@@ -318,28 +312,24 @@ def test_proximity_exact_eigenvector():
     assert rep["dist"] <= 1e-12
 
 
-def test_proximity_vanishing_damping():
-    for h in (0.05, 0.025):
-        grid = FourierGrid(7.0, 512)
-        q = parse_symbol("xi1^2 + x1^2", 1)
+def test_dissipative_build_takes_a_callable_damping():
+    grid = FourierGrid(7.0, 64)
+    q = parse_symbol("xi1^2 + x1^2", 1)
 
-        def a_func(X, XI):
-            s = X ** 2 + XI ** 2 - 6.0
-            return np.where(s > 0, s, 0.0) ** 3 * 1e-2
+    def a_func(X, XI):
+        s = X ** 2 + XI ** 2 - 6.0
+        return np.where(s > 0, s, 0.0) ** 3 * 1e-2
 
-        Q = weyl_quantize_grid(q, grid, h, xi_limit=None, tail_frac_tol=1.0)
-        W = wick_quantize(a_func, grid, h)
-        Qm = (Q.matrix + Q.matrix.conj().T) / 2
-        Wm = (W.matrix + W.matrix.conj().T) / 2
-        D = DissipativeOperator(
-            OperatorMatrix(Qm, h, grid), OperatorMatrix(Wm, h, grid),
-            OperatorMatrix(Qm - 1j * Wm, h, grid), 0.0,
-            float(np.linalg.eigvalsh(Wm).min()), 1)
-        x = grid.points_1d()
-        u = hermite_functions(1, x, h)[0].astype(complex)
-        shift = np.real(np.vdot(u, Wm @ u) / np.vdot(u, u))
-        rep = quasimode_spectrum_proximity(D, u, h + shift)
-        assert rep["dist"] <= 10.0 * rep["residual"] / h
+    D = dissipative_build(q, a_func, grid, 0.05)
+    assert D.hermiticity_defect <= 1e-10
+    assert D.w_min_eig >= -1e-10
+    with pytest.raises(PspecError, match="negativity"):
+        dissipative_build(q, lambda X, XI: -a_func(X, XI) - 1.0, grid, 0.05)
+    with pytest.raises(NonFiniteError, match="on the window"):
+        dissipative_build(q, lambda X, XI: np.full_like(X, np.nan), grid, 0.05)
+    with pytest.raises(PspecError, match="n = 1"):
+        dissipative_build(parse_symbol("xi1^2+xi2^2+x1^2", 2), a_func,
+                          HermiteBasis(8, n=2), 0.1)
 
 
 def test_proximity_random_vector_reports_only():
