@@ -447,17 +447,11 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
     symbol is not finite on the padded lattice.  Nonnegative symbols
     give PSD matrices for h <= 1.
     """
-    poly = None
-    if isinstance(a, PolySymbol):
-        poly = a
-    elif isinstance(a, SymbolExpr) and a.polynomial_degree() is not None:
-        poly = a.to_poly()
+    poly = _wick_poly(a, basis)
     if poly is not None:
         op = basis.weyl(gaussian_smooth_poly(poly), h, xi_limit=None)
         op.provenance = "wick(poly)"
         return op
-    if not isinstance(basis, FourierGrid) or basis.n != 1:
-        raise PspecError("non-polynomial Wick quantization needs a 1-D FourierGrid")
     R = float(np.polynomial.hermite.hermgauss(gh_nodes)[0].max())
     # Gaussian mass beyond the window half-width must be negligible
     # against the symbol's variation
@@ -488,6 +482,20 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
     A = _midpoint_kernel(np.fft.ifftshift(c, axes=1), tail_frac_tol)
     return OperatorMatrix(A, h, basis, provenance="wick(lattice)",
                           meta={"xi_window": float(np.abs(basis.dual_1d(h)).max())})
+
+
+def _wick_poly(a, basis):
+    """The PolySymbol of a polynomial Wick symbol a, or None when a
+    takes the lattice path; raises PspecError when it does and basis is
+    not a 1-D FourierGrid."""
+    if isinstance(a, PolySymbol):
+        return a
+    if isinstance(a, SymbolExpr) and a.polynomial_degree() is not None:
+        return a.to_poly()
+    if not isinstance(basis, FourierGrid) or basis.n != 1:
+        raise PspecError("non-polynomial Wick quantization needs a 1-D "
+                         "FourierGrid (n = 1)")
+    return None
 
 
 def _gaussian_band(n, pad, dt):

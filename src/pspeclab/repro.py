@@ -112,7 +112,7 @@ def rational_resolvent_experiment(h_list=(0.05, 0.035, 0.025, 0.018, 0.0125),
     """sigma_min of the section-3 rational symbol at z = 0 across h.
 
     The dual window grows like h^{-1/3} (the subelliptic frequency
-    scale); sigma_min per h comes from LU inverse iteration.
+    scale); sigma_min per h comes from LU inverse Lanczos.
     """
     p = parse_symbol(RATIONAL_SECTION3, 1)
     samples = []

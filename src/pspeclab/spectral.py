@@ -2,10 +2,13 @@
 sweeps with Schur reuse, pseudospectrum grids, contours and scaling fits.
 
 sigma_min(P - z) is the reciprocal of the resolvent norm and the
-computational currency of every experiment here.  One inverse-iteration
-driver serves any set of shifts.  A grid shares one complex Schur factor
-P = Q T Q*, and all its shifts advance together at O(M^2) per step each,
-instead of the O(M^3) of a full SVD; a single shift may use an LU factor.
+computational currency of every experiment here.  One inverse-Lanczos
+driver serves any set of shifts: it runs Lanczos on ((P - z)^H (P - z))^{-1},
+whose largest eigenvalue is sigma_min^-2, and stops a shift once the Ritz
+residual of its top Ritz value is at most SIGMA_TOL times that value.  A
+grid shares one complex Schur factor P = Q T Q*, and all its shifts
+advance together at O(M^2) per step each, instead of the O(M^3) of a full
+SVD; a single shift may use an LU factor.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def eigendecompose(P: OperatorMatrix, residual_tol=RESIDUAL_TOL,
 # ---------------------------------------------------------------------------
 # sigma_min
 
-SIGMA_TOL = 1e-10        # relative agreement that stops inverse iteration
+SIGMA_TOL = 1e-10        # relative Ritz residual that stops inverse Lanczos
 SIGMA_MAX_ITER = 50
 _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
@@ -116,12 +119,16 @@ def _schur_solves(A):
     def solve(X, zs):
         for s, e in blocks:                  # (T - z)^H Y = X, top down
             X[s:e] -= TH[s:e, :s] @ X[:s]
-            for i in range(s, e):
-                X[i] = (X[i] - TH[i, s:i] @ X[s:i]) / np.conj(d[i] - zs)
+            for i, dc in zip(range(s, e), np.conj(d[s:e, None] - zs)):
+                xi = X[i]
+                xi -= TH[i, s:i] @ X[s:i]
+                xi /= dc
         for s, e in reversed(blocks):        # (T - z) U = Y, bottom up
             X[s:e] -= T[s:e, e:] @ X[e:]
-            for i in range(e - 1, s - 1, -1):
-                X[i] = (X[i] - T[i, i + 1:e] @ X[i + 1:e]) / (d[i] - zs)
+            for i, di in zip(range(e - 1, s - 1, -1), (d[s:e, None] - zs)[::-1]):
+                xi = X[i]
+                xi -= T[i, i + 1:e] @ X[i + 1:e]
+                xi /= di
         return X
 
     return solve
@@ -137,46 +144,80 @@ def _lu_solves(A, z):
 
 
 def _sigma_min_shifts(A, zs, solve, strict=False):
-    """sigma_min(A - z) for every shift z in zs by inverse iteration.
+    """sigma_min(A - z) for every shift z in zs by inverse Lanczos.
 
-    solve(X, zs) maps column j of X to (B_j^H B_j)^{-1} x_j, with B_j
-    unitarily similar to A - z_j or its adjoint, and may overwrite X.
-    Blocks of shifts advance together from one seed vector; a shift
-    leaves the active set once its estimate agrees to SIGMA_TOL with the
-    two before it.  A non-finite or zero solve, or SIGMA_MAX_ITER steps,
-    fails a shift: it takes the SVD of A - z (or raises ConvergenceError
-    when strict).  Returns (sigma, number of SVD fallbacks).
+    solve(X, zs) maps column j of X to B_j x_j, with B_j = (C_j^H C_j)^{-1}
+    and C_j unitarily similar to A - z_j or its adjoint, may overwrite X
+    and returns a C-ordered array (any single column is).  Blocks of shifts advance together from one seed vector,
+    each running the three-term Lanczos recurrence on its own B_j.  After
+    step k a shift's largest Ritz value theta (top eigenvalue of its k x k
+    tridiagonal, unit eigenvector y) has residual ||B_j v - theta v|| =
+    beta_k |y_k|; once that is at most SIGMA_TOL * theta the shift leaves
+    the active set with sigma = theta^{-1/2}.  A shift stops before its
+    top Ritz pair loses orthogonality, so no reorthogonalization is done.
+    A non-finite solve, or SIGMA_MAX_ITER steps, fails a shift: it takes
+    the SVD of A - z (or raises ConvergenceError when strict).  Returns
+    (sigma, indices of the SVD fallbacks, steps run by each shift).
     """
     zs = np.asarray(zs, dtype=complex)
     M = A.shape[0]
     sigma = np.full(zs.size, np.nan)
+    steps = np.full(zs.size, SIGMA_MAX_ITER)
     rng = np.random.default_rng(2024)
     seed = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     width = max(1, _SHIFT_ENTRIES // M)
     with np.errstate(all="ignore"):
         for lo in range(0, zs.size, width):
             active = np.arange(lo, min(lo + width, zs.size))
-            X = np.repeat(seed[:, None] / np.linalg.norm(seed), active.size, 1)
-            prev = prev2 = np.full(active.size, np.nan)
-            for _ in range(SIGMA_MAX_ITER):
-                X = solve(X, zs[active])
-                nu = np.linalg.norm(X, axis=0)
-                s = 1.0 / np.sqrt(nu)
-                live = np.isfinite(nu) & (nu > 0)
-                done = (live & (abs(s - prev) <= SIGMA_TOL * s)
-                        & (abs(s - prev2) <= SIGMA_TOL * s))
-                sigma[active[done]] = s[done]
-                keep = live & ~done
+            Q = np.repeat(seed[:, None] / np.linalg.norm(seed), active.size, 1)
+            Qprev = np.zeros_like(Q)         # beta_0 = ab[:, 1, -1] = 0
+            ab = np.zeros((active.size, 2, SIGMA_MAX_ITER))   # alpha, beta
+            for k in range(SIGMA_MAX_ITER):
+                W = solve(Q.copy(), zs[active])
+                W -= np.multiply(Qprev, ab[:, 1, k - 1], out=Qprev)  # spent
+                ab[:, 0, k] = alpha = _real_dots(Q, W)
+                W -= np.multiply(Q, alpha, out=Qprev)
+                ab[:, 1, k] = beta = np.sqrt(_real_dots(W, W))
+                ok = np.isfinite(ab[:, :, k]).all(axis=1)
+                ab[~ok] = 0                  # a zero tridiagonal never stops
+                theta, res = _top_ritz(ab[:, :, :k + 1])
+                done = (theta > 0) & (res <= SIGMA_TOL * theta)
+                sigma[active[done]] = 1.0 / np.sqrt(theta[done])
+                keep = ok & ~done
+                steps[active[~keep]] = k + 1
                 if not keep.any():
                     break
-                active, X = active[keep], X[:, keep] / nu[keep]
-                prev, prev2 = s[keep], prev[keep]
+                del Qprev                    # one compacted copy at a time
+                active, ab, beta = active[keep], ab[keep], beta[keep]
+                Q = np.compress(keep, Q, axis=1)     # C order, unlike
+                W = np.compress(keep, W, axis=1)     # Q[:, keep]
+                W /= beta
+                Qprev, Q = Q, W
     failed = np.flatnonzero(np.isnan(sigma))
     if strict and failed.size:
-        raise ConvergenceError("inverse iteration did not converge")
+        raise ConvergenceError("inverse Lanczos did not converge")
     for k in failed:
         sigma[k] = _sigma_min_svd(A - zs[k] * np.eye(M))
-    return sigma, failed.size
+    return sigma, failed, steps
+
+
+def _real_dots(X, Y):
+    """Re(x_j^H y_j) for every column pair of two C-ordered complex
+    arrays, summed over their interleaved real and imaginary parts."""
+    return np.einsum("ij,ij->j", X.view(float), Y.view(float)).reshape(-1, 2).sum(1)
+
+
+def _top_ritz(ab):
+    """Largest eigenvalue theta of each tridiagonal with diagonal ab[:, 0]
+    and off-diagonal ab[:, 1, :-1], and its Ritz residual ab[:, 1, -1]
+    |y_k|, y the unit eigenvector of theta."""
+    n, _, k = ab.shape
+    T = np.zeros((n, k, k))
+    i = np.arange(k)
+    T[:, i, i] = ab[:, 0]
+    T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = ab[:, 1, :-1]
+    vals, vecs = np.linalg.eigh(T)
+    return vals[:, -1], ab[:, 1, -1] * np.abs(vecs[:, -1, -1])
 
 
 def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
@@ -184,7 +225,7 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     """sigma_min(P - z I) = 1 / ||(P - z)^{-1}||.
 
     method "svd" is the reference path.  The others run inverse
-    iteration: "auto" and "lu" on an LU factor of P - z, falling back
+    Lanczos: "auto" and "lu" on an LU factor of P - z, falling back
     to the SVD on failure; "schur" on a complex Schur factor, raising
     ConvergenceError instead.  For one z the LU factor costs a fraction
     of the Schur form.
@@ -197,7 +238,7 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
         if method == "svd":
             return _sigma_min_svd(A - z * np.eye(A.shape[0]))
         solve = _schur_solves(A) if method == "schur" else _lu_solves(A, z)
-        sigma, _ = _sigma_min_shifts(A, [z], solve, strict=method == "schur")
+        sigma = _sigma_min_shifts(A, [z], solve, strict=method == "schur")[0]
     return float(sigma[0])
 
 
@@ -225,9 +266,11 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
 
     rectangle = (re_min, re_max, im_min, im_max); shape = (n_re, n_im).
     One Schur factorization serves every node; the nodes advance
-    together through the blocked inverse iteration, and nodes that fail
-    it fall back to a full SVD (count logged in timing).  force_svd
-    takes the SVD at every node.  threads is only recorded in timing:
+    together through the blocked inverse Lanczos, and nodes that fail
+    it fall back to a full SVD (count logged in timing).  The step
+    histogram is timing["sigma_steps"]: entry k counts the nodes that
+    stopped after k + 1 steps (empty with force_svd).  force_svd takes
+    the SVD at every node.  threads is only recorded in timing:
     neither the work nor the output depends on it.  The BLAS thread
     count the kernels ran at (one below _blas.SINGLE_THREAD_BELOW, None
     when it cannot be set) is recorded as blas_threads.
@@ -246,17 +289,19 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
         if force_svd:
             t1 = time.perf_counter()
             eye = np.eye(A.shape[0])
-            sigma, fallbacks = np.array([_sigma_min_svd(A - z * eye) for z in zs]), 0
+            sigma = np.array([_sigma_min_svd(A - z * eye) for z in zs])
+            failed, steps = [], np.zeros(0, int)
         else:
             solve = _schur_solves(A)
             t1 = time.perf_counter()
-            sigma, fallbacks = _sigma_min_shifts(A, zs, solve)
+            sigma, failed, steps = _sigma_min_shifts(A, zs, solve)
         t_sweep = time.perf_counter() - t1
     sigma = sigma.reshape(n_re, n_im)
     floored = sigma < floor
     sigma = np.where(floored, floor, sigma)
     timing = {"factorization_s": t1 - t0, "sweep_s": t_sweep,
-              "nodes": n_re * n_im, "svd_fallbacks": fallbacks,
+              "nodes": n_re * n_im, "svd_fallbacks": len(failed),
+              "sigma_steps": np.bincount(steps - 1).tolist(),
               "threads": threads, "blas_threads": blas_threads,
               "force_svd": force_svd}
     return ResolventGrid(re, im, sigma, floored, P.h, floor, timing)

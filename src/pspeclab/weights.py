@@ -25,7 +25,7 @@ from .errors import (
     EscapeConstructionError,
     PspecError,
 )
-from .quantize import OperatorMatrix, wick_quantize
+from .quantize import OperatorMatrix, _wick_poly, wick_quantize
 from .quasimodes import bump
 from .spectral import eigendecompose, resolvent_norm
 from .symbols import SymbolExpr, _check_finite
@@ -411,6 +411,7 @@ def dissipative_build(q: SymbolExpr, a, disc, h: float
     window; Hermiticity of Q and the minimum eigenvalue of W are
     certified on the matrices.
     """
+    _wick_poly(a, disc)                # rejects a before any work
     n = q.n
     R = disc.window(h)
     pts = np.random.default_rng(99).uniform(-R, R, size=(3000, R.size))
@@ -418,12 +419,7 @@ def dissipative_build(q: SymbolExpr, a, disc, h: float
     qv = _check_finite(q.eval_grid(cols), "q evaluation failed on the window")
     if np.abs(qv.imag).max() > 1e-10 * max(1.0, np.abs(qv).max()):
         raise PspecError("q must be real-valued on the window")
-    if isinstance(a, SymbolExpr):
-        av = a.eval_grid(cols)
-    elif n == 1:
-        av = a(*cols)
-    else:
-        raise PspecError("a callable damping needs n = 1")
+    av = a.eval_grid(cols) if isinstance(a, SymbolExpr) else a(*cols)
     av = _check_finite(np.asarray(av, dtype=complex),
                        "a evaluation failed on the window")
     if np.abs(av.imag).max() > 1e-10 * max(1.0, np.abs(av).max()):

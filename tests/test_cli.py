@@ -111,6 +111,7 @@ def test_psgrid_artifacts_and_determinism(tmp_path):
                 "contours.json"} <= set(man["artifacts"])
         assert man["timing"]["blas_threads"] == (
             1 if _blas._find_controls() else None)
+        assert sum(man["timing"]["sigma_steps"]) == 8 * 6
         hashes.append(man["artifacts"]["grid.csv"])
     assert hashes[0] == hashes[1]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,10 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from pspeclab import _blas, spectral
+from pspeclab import _blas, repro, spectral
 from pspeclab.errors import ConvergenceError, PspecError
-from pspeclab.quantize import HermiteBasis, OperatorMatrix, weyl_quantize_poly
+from pspeclab.quantize import (
+    FourierGrid,
+    HermiteBasis,
+    OperatorMatrix,
+    weyl_quantize_grid,
+    weyl_quantize_poly,
+)
 from pspeclab.spectral import (
     contour_extract,
     eigendecompose,
@@ -113,13 +121,14 @@ def test_resolvent_norm_at_an_eigenvalue():
 
 @pytest.mark.parametrize("shifts_per_block", [None, 7])
 def test_grid_nodes_match_single_shift(monkeypatch, shifts_per_block):
-    # near this corner inverse iteration stalls at some nodes and not at
-    # others, so converged and fallback shifts share a block
-    op = weyl_quantize_poly(ROT, HermiteBasis(60), h=0.05)
+    # the nodes 0.3 and 0.7 are eigenvalues of the diagonal oscillator
+    # matrix: their solves are non-finite and fall back to the SVD, while
+    # the other shifts of their blocks converge
+    op = weyl_quantize_poly(OSC, HermiteBasis(64), h=0.1)
     if shifts_per_block:
-        monkeypatch.setattr(spectral, "_SHIFT_ENTRIES", 60 * shifts_per_block)
-    grid = pseudospectrum_grid(op, (-0.6, -0.4, -1.1, -0.9), (5, 5))
-    assert 0 < grid.timing["svd_fallbacks"] < grid.sigma.size
+        monkeypatch.setattr(spectral, "_SHIFT_ENTRIES", 64 * shifts_per_block)
+    grid = pseudospectrum_grid(op, (0.3, 0.7, -0.2, 0.2), (5, 5))
+    assert grid.timing["svd_fallbacks"] == 2
     for z, sigma in zip(grid.node_values().ravel(), grid.sigma.ravel()):
         # the grid's own path for one shift: Schur, or the SVD on failure
         try:
@@ -127,6 +136,41 @@ def test_grid_nodes_match_single_shift(monkeypatch, shifts_per_block):
         except ConvergenceError:
             ref = resolvent_norm(op, z, method="svd")
         assert sigma == pytest.approx(max(ref, grid.floor), rel=1e-12)
+
+
+def test_schur_solve_is_the_row_formula():
+    # the row loop divides by the shift differences of a whole diagonal
+    # block, in place; the bytes are those of the plain row formula
+    A = weyl_quantize_poly(ROT, HermiteBasis(70), h=0.1).matrix
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-1, 2, 9) + 1j * rng.uniform(-1, 1, 9)
+    X = rng.standard_normal((70, 9)) + 1j * rng.standard_normal((70, 9))
+    T = scipy.linalg.schur(A, output="complex")[0]
+    TH, d = np.ascontiguousarray(T.conj().T), np.diag(T)
+    blocks = [(s, min(s + spectral._BLOCK, 70)) for s in range(0, 70, spectral._BLOCK)]
+    ref = X.copy()
+    for s, e in blocks:
+        ref[s:e] -= TH[s:e, :s] @ ref[:s]
+        for i in range(s, e):
+            ref[i] = (ref[i] - TH[i, s:i] @ ref[s:i]) / np.conj(d[i] - zs)
+    for s, e in reversed(blocks):
+        ref[s:e] -= T[s:e, e:] @ ref[e:]
+        for i in range(e - 1, s - 1, -1):
+            ref[i] = (ref[i] - T[i, i + 1:e] @ ref[i + 1:e]) / (d[i] - zs)
+    assert spectral._schur_solves(A)(X, zs).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("h", [0.1, 0.07])
+def test_rational_symbol_sigma_min_splits_a_near_double_value(h):
+    # s2 / s1 - 1 is 2.1e-6 at h = 0.1 (M = 206) and 1.8e-7 at h = 0.07
+    # (M = 332), the construction of repro.rational_resolvent_experiment
+    M = int(math.ceil(12.0 * h ** (-1.0 / 3.0) * 2.5 / (math.pi * h)))
+    P = weyl_quantize_grid(parse_symbol(repro.RATIONAL_SECTION3, 1),
+                           FourierGrid(2.5, M), h, xi_limit=1.0,
+                           tail_frac_tol=1.0)
+    ref = resolvent_norm(P, 0.0, method="svd")
+    for method in ("lu", "auto", "schur"):
+        assert resolvent_norm(P, 0.0, method=method) == pytest.approx(ref, rel=1e-10)
 
 
 def _fourier_collocation(h, N=512, L=8.0):
@@ -161,6 +205,9 @@ def test_far_field_lower_bound():
 def test_pseudospectrum_grid_contract():
     op = weyl_quantize_poly(ROT, HermiteBasis(120), h=0.08)
     grid = pseudospectrum_grid(op, (-0.2, 1.4, -0.6, 0.6), (25, 19))
+    # entry k counts the shifts that stopped after k + 1 Lanczos steps
+    steps = grid.timing["sigma_steps"]
+    assert sum(steps) == 25 * 19 and len(steps) <= spectral.SIGMA_MAX_ITER
     rep = eigendecompose(op)
     Z = grid.node_values()
     # sigma_min never exceeds the distance to the accepted spectrum
@@ -178,33 +225,61 @@ def test_grid_threads_bitwise_identical():
     assert g1.timing["blas_threads"] == (1 if _blas._find_controls() else None)
 
 
-_CRITERION_14_GRID = """
+_THREAD_GRIDS = """
 import hashlib, json
 from pspeclab import (HermiteBasis, parse_symbol, pseudospectrum_grid,
-                      weyl_quantize_poly)
-op = weyl_quantize_poly(parse_symbol("xi1^2 + xi1*1i + x1^2", 1),
-                        HermiteBasis(200), 0.05)
-g = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (101, 81))
-print(json.dumps({"sigma": hashlib.sha256(g.sigma.tobytes()).hexdigest(),
-                  "floored": hashlib.sha256(g.floored.tobytes()).hexdigest(),
-                  "svd_fallbacks": g.timing["svd_fallbacks"]}))
+                      spectral, weyl_quantize_poly)
+rot = parse_symbol("xi1^2 + xi1*1i + x1^2", 1)
+sweep, failed = spectral._sigma_min_shifts, []
+
+def recorded(*args, **kwargs):
+    out = sweep(*args, **kwargs)
+    failed.append(out[1].tolist())
+    return out
+
+spectral._sigma_min_shifts = recorded
+runs = {}
+for M, h, shape in ((200, 0.05, (101, 81)), (400, 0.025, (26, 21))):
+    g = pseudospectrum_grid(weyl_quantize_poly(rot, HermiteBasis(M), h),
+                            (-0.5, 2.0, -1.0, 1.0), shape)
+    runs[M] = {"sigma": hashlib.sha256(g.sigma.tobytes()).hexdigest(),
+               "floored": hashlib.sha256(g.floored.tobytes()).hexdigest(),
+               "svd_fallbacks": g.timing["svd_fallbacks"],
+               "fallback_nodes": failed.pop()}
+print(json.dumps(runs))
 """
 
 
-def test_grid_bytes_do_not_depend_on_blas_threads():
-    # the criterion-14 grid: at the default two threads a shift near the
-    # step cap converges or falls back on last-bit rounding
+@pytest.fixture(scope="module")
+def blas_thread_runs():
+    """The criterion-14 grid (M=200) and a grid above the BLAS thread
+    crossover (M=400), each run under OPENBLAS_NUM_THREADS 1 and 2."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", _CRITERION_14_GRID],
+        out = subprocess.run([sys.executable, "-c", _THREAD_GRIDS],
                              env=env, capture_output=True, text=True,
                              timeout=600, check=True).stdout
         runs.append(json.loads(out))
-    assert runs[0] == runs[1]
+    return runs
+
+
+def test_grid_bytes_do_not_depend_on_blas_threads(blas_thread_runs):
+    # below the crossover the kernels run on one thread either way
+    one, two = (run["200"] for run in blas_thread_runs)
+    assert one == two
+
+
+def test_fallbacks_above_the_crossover_do_not_depend_on_blas_threads(
+        blas_thread_runs):
+    # at M=400 the kernels run on two threads and the grids differ in
+    # their last bits; no shift may converge or fail on that rounding
+    one, two = (run["400"] for run in blas_thread_runs)
+    assert one["svd_fallbacks"] == two["svd_fallbacks"]
+    assert one["fallback_nodes"] == two["fallback_nodes"]
 
 
 class _FakeBlas:

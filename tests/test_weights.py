@@ -268,6 +268,17 @@ def test_dissipative_rejects_a_2d_grid():
         dissipative_build(q, parse_symbol("x1^2", 2), FourierGrid(4.0, 8, n=2), 0.1)
 
 
+def test_dissipative_rejects_a_callable_on_hermite_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the window was sampled or Q was built")
+
+    monkeypatch.setattr(HermiteBasis, "window", no_work)
+    monkeypatch.setattr(HermiteBasis, "weyl", no_work)
+    with pytest.raises(PspecError, match="1-D FourierGrid"):
+        dissipative_build(parse_symbol("xi1^2+x1^2", 1), lambda X, XI: X ** 2,
+                          HermiteBasis(16), 0.1)
+
+
 def test_dissipative_rejects_complex_q():
     with pytest.raises(PspecError, match="real"):
         dissipative_build(parse_symbol("xi1^2+1i*x1", 1),
