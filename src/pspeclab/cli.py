@@ -13,6 +13,7 @@ escaping a run (diagnostics in the manifest, partial artifacts removed).
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -102,7 +103,17 @@ def _optional(check):
 def _symbol(v, cfg):
     if not isinstance(v, str):
         raise ConfigError(f"must be a symbol string, got {v!r}")
-    return parse_symbol(v, cfg["dim"])
+    p = parse_symbol(v, cfg["dim"])
+    # a constant subtree that divides by zero, overflows or is not finite
+    # fails every evaluation of the symbol: the symbol is malformed
+    try:
+        values = p.constant_values()
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"has a constant that cannot be evaluated "
+                          f"({type(exc).__name__}: {exc}), got {v!r}") from None
+    if not all(cmath.isfinite(c) for c in values):
+        raise ConfigError(f"has a constant that is not finite, got {v!r}")
+    return p
 
 
 def _complex(v, cfg=None):

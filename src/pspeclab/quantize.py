@@ -17,6 +17,8 @@ Three quantization paths:
   assembly; the window guard and the non-finite-sample guard refuse
   runs the lattice cannot resolve.
 
+``FourierGrid.apply_weyl`` applies a polynomial symbol's grid operator
+to one vector without forming the matrix (McCoy ordering, FFTs for hD).
 Plus the terminating Moyal product of polynomials and a Gaussian-window
 FBI transform for phase-space localization checks.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +182,59 @@ class FourierGrid(_Basis):
         return weyl_quantize_grid(p, self, h, xi_limit=xi_limit,
                                   tail_frac_tol=1.0)
 
+    def apply_weyl(self, poly, h, u):
+        """Op^w(poly) u for a polynomial symbol (n = 1), without forming a
+        matrix: each monomial in McCoy's ordering (_mccoy_1d), with x
+        acting by multiplication and hD by the Fourier multiplier
+        dual_1d(h), one FFT pair per power of hD.  Entries (j, l) with
+        x_j and x_l at most L apart agree with weyl_quantize_grid's up
+        to rounding; for the others the grid path takes the symbol at
+        the short-arc midpoint across the seam, which only monomials
+        mixing x and xi notice.  poly is a PolySymbol or a polynomial
+        SymbolExpr; any other symbol raises NotPolynomialError."""
+        if self.n != 1:
+            raise PspecError("apply_weyl is restricted to n = 1")
+        poly = _finite_poly(poly)
+        if poly.n != 1:
+            raise ValueError("symbol dimension does not match basis")
+        u = np.asarray(u, dtype=complex)
+        if u.shape != (self.M,):
+            raise ValueError("vector length does not match the grid")
+        x, xi = self.points_1d(), self.dual_1d(h)
+
+        def X(k):
+            return _LinearMap(lambda v: x ** k * v)
+
+        def P(k):
+            return _LinearMap(lambda v: np.fft.ifft(xi ** k * np.fft.fft(v)))
+
+        out = np.zeros(self.M, dtype=complex)
+        for (a, b), coeff in poly.coeffs.items():
+            out += complex(coeff) * _mccoy_1d(X, P, a, b).apply(u)
+        return out
+
+
+class _LinearMap:
+    """A linear map on grid vectors, v -> apply(v), with the operations
+    _mccoy_1d combines operators by: composition @, sums, and products
+    and quotients with numbers.  Combining maps does no arithmetic on
+    vectors; apply does."""
+
+    def __init__(self, apply):
+        self.apply = apply
+
+    def __matmul__(self, other):
+        return _LinearMap(lambda v: self.apply(other.apply(v)))
+
+    def __add__(self, other):
+        return _LinearMap(lambda v: self.apply(v) + other.apply(v))
+
+    def __rmul__(self, c):
+        return _LinearMap(lambda v: c * self.apply(v))
+
+    def __truediv__(self, c):
+        return _LinearMap(lambda v: self.apply(v) / c)
+
 
 @dataclass
 class OperatorMatrix:
@@ -218,21 +274,32 @@ def _as_poly(p) -> PolySymbol:
     raise NotPolynomialError(f"{type(p).__name__} is not a polynomial symbol")
 
 
+def _finite_poly(p) -> PolySymbol:
+    """_as_poly(p), raising NonFiniteError before any arithmetic (so
+    without a warning) when a coefficient is inf or nan."""
+    poly = _as_poly(p)
+    _check_finite(np.array([complex(c) for c in poly.coeffs.values()]),
+                  "polynomial symbol has non-finite coefficients")
+    return poly
+
+
 def _mccoy_1d(X, P, a, b):
-    """Weyl-ordered x^a xi^b as a matrix, symmetrizing over the
-    lower-degree factor to minimize multiplications."""
-    if a == 0 and b == 0:
-        return np.eye(X.shape[0], dtype=complex)
-    if a == 0:
-        return np.linalg.matrix_power(P, b)
+    """Weyl-ordered x^a xi^b (McCoy): 2^-m sum_r C(m, r) A^r B^k A^(m-r),
+    splitting the factor A of lower degree m around the other's k-th
+    power B^k to minimize multiplications.  X(k) and P(k) return the
+    k-th powers of the position and momentum operators, in any type with
+    @ (composition), + and multiplication and division by numbers:
+    matrices on the Hermite basis, _LinearMap on the grid."""
     if b == 0:
-        return np.linalg.matrix_power(X, a)
-    # split the factor of lower degree m around the other's k-th power
+        return X(a)
+    if a == 0:
+        return P(b)
     outer, m, inner, k = (X, a, P, b) if a <= b else (P, b, X, a)
-    pk = np.linalg.matrix_power(inner, k)
-    powers = [np.linalg.matrix_power(outer, r) for r in range(m + 1)]
-    out = sum(math.comb(m, r) * (powers[r] @ pk @ powers[m - r])
-              for r in range(m + 1))
+    pk = inner(k)
+    powers = [outer(r) for r in range(m + 1)]
+    out = functools.reduce(operator.add, (
+        math.comb(m, r) * (powers[r] @ pk @ powers[m - r])
+        for r in range(m + 1)))
     return out / 2.0 ** m
 
 
@@ -243,7 +310,7 @@ def weyl_quantize_poly(p, basis: HermiteBasis, h: float) -> OperatorMatrix:
     of the ladder-built position/momentum matrices, per axis, joined by
     Kronecker products (axis 1 slowest).
     """
-    poly = _as_poly(p)
+    poly = _finite_poly(p)
     n = basis.n
     if poly.n != n:
         raise ValueError("symbol dimension does not match basis")
@@ -253,8 +320,8 @@ def weyl_quantize_poly(p, basis: HermiteBasis, h: float) -> OperatorMatrix:
     # returned entries are exact matrix elements of the untruncated
     # operator (a monomial couples modes within distance deg only)
     padded = HermiteBasis(basis.M + deg, 1)
-    X = padded.position_1d(h)
-    P = padded.momentum_1d(h)
+    X = functools.partial(np.linalg.matrix_power, padded.position_1d(h))
+    P = functools.partial(np.linalg.matrix_power, padded.momentum_1d(h))
     M = basis.M
     total = np.zeros((basis.size, basis.size), dtype=complex)
     cache = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridResolutionError, PspecError
+from .errors import GridResolutionError, NotPolynomialError, PspecError
 from .brackets import poisson_bracket_jets
 from .jets import Jet, compose_jet, eval_jet
 from .quantize import (
@@ -455,8 +455,14 @@ def _one_residual(p, qm, h, grid, quantizer):
     if nrm == 0:
         raise PspecError("quasimode vanishes on the grid")
     if quantizer == "grid":
-        P = weyl_quantize_grid(p, grid, h, xi_limit="auto", tail_frac_tol=1.0)
-        r = np.linalg.norm((P.matrix @ u) - qm.z * u) / nrm
+        try:
+            poly = p.to_poly()
+        except NotPolynomialError:
+            Pu = weyl_quantize_grid(p, grid, h, xi_limit="auto",
+                                    tail_frac_tol=1.0).matrix @ u
+        else:
+            Pu = grid.apply_weyl(poly, h, u)
+        r = np.linalg.norm(Pu - qm.z * u) / nrm
     elif quantizer == "hermite":
         M = min(grid.M, 800)
         basis = HermiteBasis(M)
@@ -474,11 +480,17 @@ def residual_sweep(p: SymbolExpr, w0, N: int, delta: float, h_list,
                    points_per_width: int = 16, model: str = "power",
                    refine_check: bool = False,
                    subprincipal: SymbolExpr | None = None):
-    """Quantize, apply, record ||(P - z) u|| / ||u|| for each h and fit.
+    """Apply P to the sampled beam u, record ||(P - z) u|| / ||u|| for
+    each h and fit.
 
-    Returns (ScalingFit, records).  With refine_check=True each h is
-    recomputed on a half-resolution grid and a >10% disagreement raises
-    GridResolutionError.
+    On path="grid" a polynomial symbol is applied matrix-free
+    (FourierGrid.apply_weyl: McCoy ordering with FFTs for hD); any
+    other symbol is quantized to the dense grid matrix first
+    (weyl_quantize_grid).  path="hermite" quantizes the polynomial on
+    the Hermite basis (weyl_quantize_poly) and applies it to the
+    beam's Hermite coefficients.  Returns (ScalingFit, records).  With
+    refine_check=True each h is recomputed on a half-resolution grid
+    and a >10% disagreement raises GridResolutionError.
     """
     qm = build_quasimode(p, w0, N, delta, subprincipal=subprincipal)
     records = []

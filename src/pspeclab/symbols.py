@@ -288,6 +288,16 @@ class SymbolExpr:
         return np.asarray(out, dtype=complex) + np.zeros(np.broadcast_shapes(
             *[c.shape for c in coords]), dtype=complex)
 
+    def constant_values(self):
+        """The value of each maximal subtree that holds no variable, left
+        to right, folded once with eval_grid's arithmetic (Python complex
+        numbers, np.exp).  So it raises ZeroDivisionError or
+        OverflowError, or returns inf or nan, exactly where eval_grid
+        would for that subtree."""
+        with np.errstate(all="ignore"):
+            return [complex(_fold(node, lambda c: c, None, np.exp))
+                    for node in _constant_subtrees(self.root)]
+
     def eval_with_gradient(self, coords):
         """Vectorized value and gradient (2n component arrays), with
         IEEE inf/nan (and no warning) where they are not finite."""
@@ -340,9 +350,11 @@ class SymbolExpr:
             raise NotPolynomialError(f"'{self.to_string()}' is not polynomial")
         n = self.n
         zero = (0,) * (2 * n)
-        return _fold(self.root, lambda c: PolySymbol.constant(n, c),
-                     lambda v: PolySymbol.variable(n, _var_slot(v, 2 * n)),
-                     lambda u: PolySymbol.constant(n, np.exp(u.coeffs.get(zero, 0.0))))
+        # like eval_grid, an overflowing exp gives inf without a warning
+        with np.errstate(all="ignore"):
+            return _fold(self.root, lambda c: PolySymbol.constant(n, c),
+                         lambda v: PolySymbol.variable(n, _var_slot(v, 2 * n)),
+                         lambda u: PolySymbol.constant(n, np.exp(u.coeffs.get(zero, 0.0))))
 
 
 def _coerce(other, n):
@@ -399,6 +411,26 @@ def _fold(node, const, var, exp):
             return _BINARY[node.op](left, walk(node.right))
         raise TypeError(f"unknown node {node!r}")
     return walk(node)
+
+
+def _constant_subtrees(root):
+    """The maximal subtrees of root that hold no variable, left to right."""
+    def walk(node):     # (holds no variable, maximal such subtrees)
+        if isinstance(node, Var):
+            return False, []
+        if isinstance(node, (Neg, Exp)):
+            children = [node.child]
+        elif isinstance(node, Pow):
+            children = [node.base]
+        elif isinstance(node, BinOp):
+            children = [node.left, node.right]
+        else:
+            children = []
+        parts = [walk(child) for child in children]
+        if all(free for free, _ in parts):
+            return True, [node]
+        return False, [tree for _, trees in parts for tree in trees]
+    return walk(root)[1]
 
 
 def _check_finite(values, message):

@@ -127,6 +127,8 @@ PSGRID_OK = {"symbol": "xi1^2+xi1*1i+x1^2", "h": 0.1, "M": 16,
     ("rectangle", [1.0, 0.0, -0.4, 0.4]), ("rectangle", [0.0, 1.0, 0.4, 0.4]),
     ("rectangle", [0.0, 1.0, -0.4]), ("rectangle", [0.0, "x", -0.4, 0.4]),
     ("rectangle", [0.0, float("inf"), -0.4, 0.4]),
+    # constant subexpressions that cannot be evaluated
+    ("symbol", "xi1^2 + x1^2 + 1/0"), ("symbol", "xi1^2 + x1^2 + (1e200+1i)^2"),
 ])
 def test_psgrid_malformed_config_exits_2(tmp_path, key, value):
     path = tmp_path / "cfg.json"
@@ -351,12 +353,14 @@ def test_dissipative_command(tmp_path):
 def test_quasimode_command(tmp_path):
     cfg = {"symbol": "xi1^2+xi1*1i+x1^2", "point": [1.0, 1.0], "order": 0,
            "delta": 0.5, "h_list": [0.1, 0.07, 0.05, 0.035, 0.025]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "qm"
-    assert run_cli(["quasimode", "--config", str(path), "--out", str(out)]) == 0
-    payload = json.loads((out / "residuals.json").read_text())
-    assert 0.9 <= payload["exponent"] <= 1.5
+    for path in ("grid", "hermite"):
+        cfg_path = tmp_path / f"{path}.json"
+        cfg_path.write_text(json.dumps({**cfg, "path": path}))
+        out = tmp_path / path
+        assert run_cli(["quasimode", "--config", str(cfg_path),
+                        "--out", str(out)]) == 0
+        payload = json.loads((out / "residuals.json").read_text())
+        assert 0.9 <= payload["exponent"] <= 1.5
 
 
 def _container_basis_header(path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pspeclab.errors import NonFiniteError, NotPolynomialError
 from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
@@ -107,6 +108,39 @@ def test_grid_multiplication_symbol_is_diagonal():
     op = weyl_quantize_grid(parse_symbol("x1^2", 1), grid, 0.1, xi_limit=None)
     x = grid.points_1d()
     assert np.allclose(op.matrix, np.diag(x**2), atol=1e-10)
+
+
+def test_apply_weyl_matches_the_continuum_weyl_operator():
+    # McCoy's ordering on a Gaussian u, against the continuum Weyl
+    # operators with hD = -ih d/dx: both split branches (x^a xi^b with
+    # a <= b and a > b) and the pure powers
+    h, grid = 0.05, FourierGrid(4.0, 256)
+    x = grid.points_1d()
+    u = np.exp(-(x - 1) ** 2 / (2 * h))
+    du = -(x - 1) / h * u
+    d2u = ((x - 1) ** 2 / h ** 2 - 1 / h) * u
+    cases = {
+        "x1*xi1^2": -h ** 2 * (x * d2u + du),     # (x P^2 + P^2 x) / 2
+        "x1^2*xi1": -1j * h * (x * u + x ** 2 * du),   # (x^2 P + P x^2) / 2
+        "xi1^2 + xi1*1i + x1^2": -h ** 2 * d2u + h * du + x ** 2 * u,
+        "2 - 1i*x1": (2 - 1j * x) * u,
+    }
+    for text, exact in cases.items():
+        got = grid.apply_weyl(parse_symbol(text, 1), h, u)
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max(), text
+    with pytest.raises(NotPolynomialError):
+        grid.apply_weyl(parse_symbol("x1/(1+xi1^2)", 1), h, u)
+
+
+@pytest.mark.parametrize("text", ["x1^2 + (1e200+1i)^2", "x1^2 + exp(1000)"])
+def test_weyl_quantize_poly_rejects_non_finite_coefficients_without_warning(text):
+    # both constants overflow to an inf coefficient; the check comes
+    # before any arithmetic on it (a RuntimeWarning fails the suite)
+    p = parse_symbol(text, 1)
+    with pytest.raises(NonFiniteError, match="non-finite coefficients"):
+        weyl_quantize_poly(p, HermiteBasis(8), 0.1)
+    with pytest.raises(NonFiniteError, match="non-finite coefficients"):
+        FourierGrid(4.0, 64).apply_weyl(p, 0.1, np.ones(64))
 
 
 def test_cross_path_interior_eigenvalues_agree():

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
+from pspeclab import quasimodes
 from pspeclab.brackets import poisson_bracket
-from pspeclab.errors import PspecError
+from pspeclab.errors import GridResolutionError, PspecError
+from pspeclab.quantize import FourierGrid, weyl_quantize_grid
 from pspeclab.quasimodes import (
+    _grid_for_beam,
+    _one_residual,
     build_quasimode,
     hessian_construct,
     localization_report,
     plateau_cutoff,
     residual_sweep,
 )
+from pspeclab.spectral import scaling_fit
 from pspeclab.symbols import parse_symbol
 
 ROT = parse_symbol("xi1^2 + xi1*1i + x1^2", 1)
 ROT_CONJ = parse_symbol("xi1^2 - xi1*1i + x1^2", 1)
 MODEL = parse_symbol("xi1 - 1i*x1", 1)
+CRITERION_6_H = [0.1, 0.07, 0.05, 0.035, 0.025]
 
 
 def test_cutoff_shape():
@@ -103,6 +109,71 @@ def test_rotated_beam_slopes_monotone_in_order():
         slopes.append(fit.exponent)
     assert slopes[0] <= slopes[1] <= slopes[2]
     assert slopes[1] >= 1.8   # transport solved at order 1
+
+
+@pytest.mark.parametrize("p, w0, N, delta, hs, model", [
+    (ROT, [1, 1], 0, 0.5, CRITERION_6_H, "power"),
+    (ROT, [1, 1], 2, 0.5, [0.02, 0.014, 0.01, 0.007, 0.005], "power"),
+    (MODEL, [0, 0], 0, 0.8, CRITERION_6_H, "exponential"),
+    (ROT, [1, 1], 1, 0.5, [0.05, 0.035, 0.025, 0.018, 0.0125], "power"),
+], ids=["criterion6-N0", "criterion6-N2", "criterion6-model", "slopes-N1"])
+def test_matrix_free_residuals_match_the_dense_grid(p, w0, N, delta, hs, model):
+    # the grid path applies a polynomial symbol matrix-free; the dense
+    # grid matrix is the reference, on the sweep's grid and on the half
+    # grid of refine_check
+    qm = build_quasimode(p, w0, N, delta)
+    free, dense = [], []
+    for h in hs:
+        grid = _grid_for_beam(qm, h)
+        for g in (grid, FourierGrid(grid.L, max(64, grid.M // 2), 1)):
+            r, nrm = _one_residual(p, qm, h, g, "grid")
+            u = qm.sample(g.points_1d(), h)
+            P = weyl_quantize_grid(p, g, h, xi_limit="auto", tail_frac_tol=1.0)
+            ref = np.linalg.norm(P.matrix @ u - qm.z * u) / nrm
+            assert abs(r - ref) <= 1e-10 * ref + 1e-14, (h, g.M, r, ref)
+            if g is grid:
+                free.append((h, r))
+                dense.append((h, ref))
+    assert scaling_fit(free, model).exponent == pytest.approx(
+        scaling_fit(dense, model).exponent, rel=0, abs=1e-9)
+
+
+def test_refine_check_passes_on_the_rotated_sweep():
+    fit, _ = residual_sweep(ROT, [1, 1], 0, 0.5, CRITERION_6_H,
+                            refine_check=True)
+    assert 0.9 <= fit.exponent <= 1.5
+
+
+def test_refine_check_rejects_an_under_resolved_beam():
+    # two points per beam width: the full and half grids disagree by
+    # more than 10% at h = 0.07 (2.405e-01 vs 2.846e-01)
+    with pytest.raises(GridResolutionError, match="h=0.07"):
+        residual_sweep(ROT, [1, 1], 0, 0.5, CRITERION_6_H,
+                       points_per_width=2, refine_check=True)
+
+
+def test_hermite_and_grid_paths_agree():
+    fg, rg = residual_sweep(ROT, [1, 1], 0, 0.5, CRITERION_6_H, path="grid")
+    fh, rh = residual_sweep(ROT, [1, 1], 0, 0.5, CRITERION_6_H, path="hermite")
+    for g, hm in zip(rg["sweep"], rh["sweep"]):
+        assert hm["residual"] == pytest.approx(g["residual"], rel=1e-3)
+    assert fh.exponent == pytest.approx(fg.exponent, rel=0, abs=1e-3)
+
+
+def test_non_polynomial_beam_takes_the_dense_grid_path(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return weyl_quantize_grid(*args, **kwargs)
+    monkeypatch.setattr(quasimodes, "weyl_quantize_grid", spy)
+    p = parse_symbol("xi1^2+xi1*1i+x1^2/(1+0.01*x1^2)", 1)
+    fit, _ = residual_sweep(p, [1, 1], 0, 0.5, CRITERION_6_H)
+    assert calls == CRITERION_6_H
+    assert fit.exponent == pytest.approx(0.9805, abs=1e-3)
+    # a polynomial symbol builds no dense matrix
+    residual_sweep(ROT, [1, 1], 0, 0.5, CRITERION_6_H)
+    assert calls == CRITERION_6_H
 
 
 def test_eikonal_defect_scaling():
