@@ -7,7 +7,10 @@ Three quantization paths:
   oscillator is exactly diagonal.
 * ``weyl_quantize_grid`` — direct midpoint-kernel discretization on a
   periodic spatial grid (n = 1), with the xi-limit split off so
-  non-decaying symbols stay within the dual window.
+  non-decaying symbols stay within the dual window.  The (2M, M)
+  midpoint profile is evaluated, transformed and assembled in blocks of
+  midpoint rows, so the peak working set is about the (M, M) result
+  plus one block.
 * ``wick_quantize`` — anti-Wick quantization, realized as Weyl
   quantization of the symbol convolved with the unit Gaussian
   pi^-1 e^{-|w|^2}.  Polynomials take the exact terminating heat flow.
@@ -31,6 +34,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._blas import single_thread_below
 from .errors import GridResolutionError, NotPolynomialError, PspecError
@@ -362,12 +366,13 @@ def _tail_dominance_check(poly, basis, h):
 # grid path
 
 def _symbol_values(p, X, XI):
-    """Evaluate a SymbolExpr or plain callable on coordinate arrays."""
+    """Evaluate a SymbolExpr or plain callable on coordinate arrays, into
+    a fresh complex array."""
     if isinstance(p, SymbolExpr):
         if p.n != 1:
             raise PspecError("grid quantization is 1-D")
         return p.eval_grid([X, XI])
-    return np.asarray(p(X, XI), dtype=complex)
+    return np.array(p(X, XI), dtype=complex)
 
 
 def _resolve_xi_limit(p, xi_limit, mids, xi):
@@ -389,7 +394,10 @@ def weyl_quantize_grid(p, grid: FourierGrid, h: float, xi_limit="auto",
     (2 pi h)^-1 int p((x_j+x_l)/2, xi) e^{i (x_j-x_l) xi / h} d xi
     times the quadrature weight dx, evaluated with one inverse DFT per
     midpoint after subtracting the xi-limit; the limit itself becomes a
-    diagonal multiplication term.
+    diagonal multiplication term.  The (2M, M) midpoint/dual profile is
+    evaluated and assembled one block of midpoint rows at a time
+    (_midpoint_kernel), so the peak working set is the (M, M) result
+    plus one block.
 
     p is a SymbolExpr, a PolySymbol or a callable p(X, XI).  xi_limit is
     "auto" (the mean of p at the two extreme dual frequencies, per
@@ -407,43 +415,97 @@ def weyl_quantize_grid(p, grid: FourierGrid, h: float, xi_limit="auto",
     # the short arc, so the midpoint index m = j + l' lives on a 2M grid
     mids = -grid.L + grid.L * np.arange(2 * M) / M
     mids = np.where(mids >= grid.L, mids - 2 * grid.L, mids)
+
+    def profile(r):
+        prof = _symbol_values(p, mids[r, None], xi[None, :])
+        prof -= p_inf[r, None]
+        return prof
+
     with single_thread_below(M):
         p_inf = _resolve_xi_limit(p, xi_limit, mids, xi)
-        prof = _symbol_values(p, mids[:, None], xi[None, :]) - p_inf[:, None]
-        A = _midpoint_kernel(prof, tail_frac_tol)
-    A[np.arange(M), np.arange(M)] += p_inf[2 * np.arange(M) % (2 * M)]
+        A = _midpoint_kernel(profile, M, tail_frac_tol)
+    A.reshape(-1)[::M + 1] += p_inf[::2]
     return OperatorMatrix(A, h, grid, provenance="weyl_grid",
                           meta={"xi_window": float(np.abs(xi).max())})
 
 
-def _midpoint_kernel(prof, tail_frac_tol):
+_KERNEL_ENTRIES = 1 << 15  # cap on (midpoint rows per block) x M
+
+
+def _midpoint_kernel(profile, M, tail_frac_tol):
     """The (M, M) kernel matrix from the (2M, M) midpoint/dual profile
-    (dual axis in fft order): one inverse DFT per midpoint, the dual
-    window check, then entry (j, l) read at midpoint index j + l (the
-    short arc on the torus) and difference j - l."""
-    _check_finite(prof, "symbol evaluation failed on the dual grid")
-    rows = np.fft.ifft(prof, axis=1)
-    _dual_window_check(rows, tail_frac_tol)
-    M = prof.shape[1]
-    J, L_idx = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
-    diff = J - L_idx
-    l_shift = np.where(diff > M // 2, M, 0) + np.where(diff < -(M // 2), -M, 0)
-    m_idx = (J + L_idx + l_shift) % (2 * M)
-    return rows[m_idx, diff % M]
+    (dual axis in fft order), built one block of midpoint rows at a
+    time: profile(r) returns rows r (a slice) of the profile, and each
+    block gets its inverse DFTs, its share of the dual-window sums and
+    its scatter into the result; the window check runs once, after the
+    last block.  Entry (j, l) is read at midpoint index j + l (the short
+    arc on the torus) and difference j - l, so the peak working set is
+    the result plus one block of _KERNEL_ENTRIES entries.
 
-
-def _dual_window_check(rows, tol):
-    """Reject profiles whose inverse transform has not decayed by the
-    middle of the index range (the xi-window misses symbol variation)."""
-    M = rows.shape[1]
-    if M < 8:
-        return
+    Midpoint m and short-arc difference s (|s| <= M/2) have m + s even;
+    with m = 2q + par and s = 2c - par the entry is
+    (j, l) = ((q + c) mod M, (q - c + par) mod M).  Over a block of q
+    and the run of c, the flat index j M + l is then a Hankel array of
+    q + c plus a Toeplitz array of q - c: two strided views of the
+    residues mod M, with no index array of the matrix's size.  For even
+    M, s = +-M/2 (column M/2) is read by the two diagonals at offset
+    M/2, which are written directly."""
+    A = np.empty((M, M), dtype=complex)
+    flat = A.reshape(-1)
+    smax = (M - 1) // 2          # the largest |s| below M/2
+    step = 2 * max(1, _KERNEL_ENTRIES // (2 * M))
+    mod_m = np.arange(-M, 2 * M) % M     # mod_m[u + M] = u mod M
+    row_start = mod_m * M
+    stride = mod_m.strides[0]
     band = int(max(1, round(0.05 * M)))
-    mid = M // 2
-    power = np.abs(rows) ** 2
-    tail = power[:, mid - band: mid + band + 1].sum()
-    total = power.sum() + 1e-300
-    frac = tail / total
+    # the window's columns in the interleaved real and imaginary parts
+    window = slice(2 * (M // 2 - band), 2 * (M // 2 + band + 1))
+    tail = total = 0.0
+    for r0 in range(0, 2 * M, step):
+        r1 = min(r0 + step, 2 * M)
+        prof = profile(slice(r0, r1))
+        _check_finite(prof, "symbol evaluation failed on the dual grid")
+        rows = np.fft.ifft(prof, axis=1)
+        power = rows.view(float) ** 2
+        tail += power[:, window].sum()
+        total += power.sum()
+        q0 = r0 // 2
+        for par in (0, 1):
+            block = rows[par::2]
+            nq = block.shape[0]
+            c_lo, c_hi = -((smax - par) // 2), (smax + par) // 2
+            nc = c_hi - c_lo + 1
+            if nq == 0 or nc <= 0:
+                continue
+            # j M at q + c (Hankel), l at q - c + par (Toeplitz)
+            jm = as_strided(row_start[M + q0 + c_lo:], (nq, nc), (stride, stride))
+            l = as_strided(mod_m[M + q0 - c_lo + par:], (nq, nc), (stride, -stride))
+            # values in the order of c: the columns of s < 0, then s >= 0
+            flat[jm + l] = np.concatenate(
+                (block[:, 2 * c_lo - par + M: M + par - 1: 2],
+                 block[:, par: 2 * c_hi - par + 1: 2]), axis=1)
+        if M % 2 == 0:
+            # m = 2a + M/2 feeds (a + M/2, a) and (a, a + M/2), a < M/2
+            half = M // 2
+            m_lo = max(r0, half)
+            m_lo += (m_lo - half) % 2
+            m_hi = min(r1, 3 * half)
+            if m_lo < m_hi:
+                vals = rows[m_lo - r0: m_hi - r0: 2, half]
+                a0 = (m_lo - half) // 2
+                stop = (a0 + vals.size) * (M + 1)
+                flat[a0 * (M + 1) + half * M: stop + half * M: M + 1] = vals
+                flat[a0 * (M + 1) + half: stop + half: M + 1] = vals
+    if M >= 8:
+        _dual_window_check(tail / (total + 1e-300), tail_frac_tol)
+    return A
+
+
+def _dual_window_check(frac, tol):
+    """Reject profiles whose inverse transform has not decayed by the
+    middle of the index range (the xi-window misses symbol variation):
+    frac is the transform power within 5% of the index range around its
+    middle, over the total."""
     if frac > tol:
         raise GridResolutionError(
             f"dual-grid window too small: transform tail fraction {frac:.2e}")
@@ -505,7 +567,8 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
     working set near 1 MB with the symbol's temporaries.  The error is
     about e^{-pi^2/dt^2} for a smooth symbol at spacing dt, and nothing
     wraps around, since the lattice is padded rather than periodic.  c
-    then goes through the grid path's kernel assembly (xi-limit 0).
+    then goes through the grid path's kernel assembly (xi-limit 0), in
+    blocks of its rows.
 
     gh_nodes sets R, the largest node of the gh_nodes-point
     Gauss-Hermite rule.  Raises GridResolutionError when the Gaussian
@@ -546,7 +609,8 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
             _check_finite(block, "symbol evaluation failed on the Wick lattice")
             smooth_xi[cols] = _real_times_complex(Gxi, block).T
         c = _real_times_complex(Gx, smooth_xi)
-    A = _midpoint_kernel(np.fft.ifftshift(c, axes=1), tail_frac_tol)
+    A = _midpoint_kernel(lambda r: np.fft.ifftshift(c[r], axes=1), M,
+                         tail_frac_tol)
     return OperatorMatrix(A, h, basis, provenance="wick(lattice)",
                           meta={"xi_window": float(np.abs(basis.dual_1d(h)).max())})
 

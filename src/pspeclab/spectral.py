@@ -101,8 +101,18 @@ _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
 
 
-def _sigma_min_svd(A):
-    return float(scipy.linalg.svdvals(A)[-1])
+def _shifted(A, z):
+    """A - z I as one Fortran-ordered copy (the layout LAPACK factors in
+    place), its diagonal shifted in place.  The bytes are those of
+    A - z * np.eye(M), except that an off-diagonal -0 of A stays -0 where
+    subtracting a signed zero of z * np.eye(M) can make it +0."""
+    B = np.array(A, dtype=np.result_type(A.dtype, z), order="F")
+    B.flat[::B.shape[0] + 1] -= z
+    return B
+
+
+def _sigma_min_svd(A, z):
+    return float(scipy.linalg.svdvals(_shifted(A, z), overwrite_a=True)[-1])
 
 
 def _schur_solves(A):
@@ -137,9 +147,9 @@ def _schur_solves(A):
 def _lu_solves(A, z):
     """Solve pair for one shift z through an LU factor of A - z.  A zero
     pivot (z on the spectrum) makes the solves non-finite."""
-    B = A - complex(z) * np.eye(A.shape[0])
+    B = _shifted(A, complex(z))
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
-    lu, piv, _ = getrf(B)
+    lu, piv, _ = getrf(B, overwrite_a=True)
     return lambda X, zs: getrs(lu, piv, getrs(lu, piv, X)[0], trans=2)[0]
 
 
@@ -197,7 +207,7 @@ def _sigma_min_shifts(A, zs, solve, strict=False):
     if strict and failed.size:
         raise ConvergenceError("inverse Lanczos did not converge")
     for k in failed:
-        sigma[k] = _sigma_min_svd(A - zs[k] * np.eye(M))
+        sigma[k] = _sigma_min_svd(A, zs[k])
     return sigma, failed, steps
 
 
@@ -236,7 +246,7 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     A = P.matrix if isinstance(P, OperatorMatrix) else np.asarray(P)
     with single_thread_below(A.shape[0]):
         if method == "svd":
-            return _sigma_min_svd(A - z * np.eye(A.shape[0]))
+            return _sigma_min_svd(A, z)
         solve = _schur_solves(A) if method == "schur" else _lu_solves(A, z)
         sigma = _sigma_min_shifts(A, [z], solve, strict=method == "schur")[0]
     return float(sigma[0])
@@ -288,8 +298,7 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
         t0 = time.perf_counter()
         if force_svd:
             t1 = time.perf_counter()
-            eye = np.eye(A.shape[0])
-            sigma = np.array([_sigma_min_svd(A - z * eye) for z in zs])
+            sigma = np.array([_sigma_min_svd(A, z) for z in zs])
             failed, steps = [], np.zeros(0, int)
         else:
             solve = _schur_solves(A)

@@ -285,8 +285,14 @@ class SymbolExpr:
         with np.errstate(all="ignore"):
             out = _fold(self.root, lambda c: c,
                         lambda v: coords[_var_slot(v, len(coords))], np.exp)
-        return np.asarray(out, dtype=complex) + np.zeros(np.broadcast_shapes(
-            *[c.shape for c in coords]), dtype=complex)
+        shape = np.broadcast_shapes(*[c.shape for c in coords])
+        if isinstance(out, np.ndarray) and out.dtype == complex and out.shape == shape:
+            # a complex array is a fresh result of the fold, never a
+            # coordinate; adding zero in place turns -0 into +0 as the
+            # broadcast add below does
+            out += 0
+            return out
+        return np.asarray(out, dtype=complex) + np.zeros(shape, dtype=complex)
 
     def constant_values(self):
         """The value of each maximal subtree that holds no variable, left

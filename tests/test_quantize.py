@@ -176,6 +176,134 @@ def test_rational_symbol_grid_bounded():
     assert op3.hermiticity_defect() < 1e-10
 
 
+def _whole_array_kernel(prof):
+    """The (M, M) kernel as one whole-array gather from the (2M, M)
+    profile: the assembly _midpoint_kernel does in blocks of rows."""
+    rows = np.fft.ifft(prof, axis=1)
+    M = prof.shape[1]
+    J, L_idx = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+    diff = J - L_idx
+    l_shift = np.where(diff > M // 2, M, 0) + np.where(diff < -(M // 2), -M, 0)
+    m_idx = (J + L_idx + l_shift) % (2 * M)
+    return rows[m_idx, diff % M]
+
+
+def _whole_array_weyl_grid(p, grid, h, xi_limit):
+    from pspeclab import quantize
+
+    M = grid.M
+    xi = grid.dual_1d(h)
+    mids = -grid.L + grid.L * np.arange(2 * M) / M
+    mids = np.where(mids >= grid.L, mids - 2 * grid.L, mids)
+    p_inf = quantize._resolve_xi_limit(p, xi_limit, mids, xi)
+    prof = quantize._symbol_values(p, mids[:, None], xi[None, :]) - p_inf[:, None]
+    A = _whole_array_kernel(prof)
+    A[np.arange(M), np.arange(M)] += p_inf[2 * np.arange(M) % (2 * M)]
+    return A
+
+
+def _whole_array_wick(a, grid, h, monkeypatch):
+    """wick_quantize(a) and the whole-array kernel of the profile it
+    hands _midpoint_kernel."""
+    from pspeclab import quantize
+
+    seen = []
+    kernel = quantize._midpoint_kernel
+
+    def spy(profile, M, tol):
+        seen.append(profile(slice(None)))
+        return kernel(profile, M, tol)
+
+    monkeypatch.setattr(quantize, "_midpoint_kernel", spy)
+    W = wick_quantize(a, grid, h).matrix
+    monkeypatch.setattr(quantize, "_midpoint_kernel", kernel)
+    return W, _whole_array_kernel(seen[0])
+
+
+@pytest.mark.parametrize("entries", [None, 1 << 9], ids=["default", "small-blocks"])
+def test_grid_kernel_matches_the_whole_array_formula(entries, monkeypatch):
+    # byte for byte, at the default block size (M = 200 ends on a short
+    # block) and at blocks of a few rows, which end short for every M
+    from pspeclab import quantize, repro
+
+    if entries is not None:
+        monkeypatch.setattr(quantize, "_KERNEL_ENTRIES", entries)
+    rational = parse_symbol(repro.RATIONAL_SECTION3, 1)
+    for h, M in ((0.1, 206), (0.05, 519)):
+        got = weyl_quantize_grid(rational, FourierGrid(2.5, M), h, xi_limit=1.0,
+                                 tail_frac_tol=1.0).matrix
+        ref = _whole_array_weyl_grid(rational, FourierGrid(2.5, M), h, 1.0)
+        assert got.tobytes() == ref.tobytes(), M
+    others = [ROT, parse_symbol(repro.RATIONAL_REMARK, 1),
+              parse_symbol("exp(-x1^2/4)*xi1^2 + 1i*x1/(1+xi1^2)", 1)]
+    for p in others:
+        for M in (7, 63, 64, 200):
+            for xi_limit in ("auto", None, 0.5 - 0.25j):
+                grid = FourierGrid(4.0, M)
+                got = weyl_quantize_grid(p, grid, 0.1, xi_limit=xi_limit,
+                                         tail_frac_tol=1.0).matrix
+                ref = _whole_array_weyl_grid(p, grid, 0.1, xi_limit)
+                assert got.tobytes() == ref.tobytes(), (p, M, xi_limit)
+    for h in (0.05, 0.025):
+        got, ref = _whole_array_wick(_proximity_damping, FourierGrid(7.0, 64), h,
+                                     monkeypatch)
+        assert got.tobytes() == ref.tobytes(), h
+
+
+def test_grid_quantization_peak_memory():
+    # the whole-array assembly peaked at 8 A.nbytes (profile, transform,
+    # power and index arrays); blocks of rows keep the peak near A
+    import tracemalloc
+
+    from pspeclab import repro
+
+    rational = parse_symbol(repro.RATIONAL_SECTION3, 1)
+    grid = FourierGrid(2.5, 519)
+    weyl_quantize_grid(rational, grid, 0.05, xi_limit=1.0, tail_frac_tol=1.0)
+    tracemalloc.start()
+    try:
+        A = weyl_quantize_grid(rational, grid, 0.05, xi_limit=1.0,
+                               tail_frac_tol=1.0).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * A.nbytes
+
+
+def test_dual_window_check_keeps_the_whole_array_fraction(monkeypatch):
+    # the blocked sums give the whole-array tail fraction up to rounding,
+    # and the check raises exactly above the tolerance
+    from pspeclab import quantize, repro
+    from pspeclab.errors import GridResolutionError
+
+    monkeypatch.setattr(quantize, "_KERNEL_ENTRIES", 1 << 9)
+    p = parse_symbol(repro.RATIONAL_REMARK, 1)
+    grid, h = FourierGrid(4.0, 64), 0.1
+    M = grid.M
+    xi = grid.dual_1d(h)
+    mids = -grid.L + grid.L * np.arange(2 * M) / M
+    mids = np.where(mids >= grid.L, mids - 2 * grid.L, mids)
+    power = np.abs(np.fft.ifft(p.eval_grid([mids[:, None], xi[None, :]]), axis=1)) ** 2
+    band = int(max(1, round(0.05 * M)))
+    whole = power[:, M // 2 - band: M // 2 + band + 1].sum() / (power.sum() + 1e-300)
+    assert 1e-3 < whole < 1e-2
+    fracs = []
+    check = quantize._dual_window_check
+
+    def spy(frac, tol):
+        fracs.append(frac)
+        return check(frac, tol)
+
+    monkeypatch.setattr(quantize, "_dual_window_check", spy)
+    weyl_quantize_grid(p, grid, h, xi_limit=None, tail_frac_tol=whole * (1 + 1e-12))
+    assert fracs == [pytest.approx(whole, rel=1e-14, abs=0)]
+    with pytest.raises(GridResolutionError,
+                       match=f"dual-grid window too small: transform tail fraction {whole:.2e}"):
+        weyl_quantize_grid(p, grid, h, xi_limit=None, tail_frac_tol=whole * (1 - 1e-12))
+    # below 8 points there is no check
+    weyl_quantize_grid(p, FourierGrid(4.0, 7), h, xi_limit=None, tail_frac_tol=0.0)
+
+
 def test_schrodinger_harmonic():
     grid = FourierGrid(8.0, 256)
     op = schrodinger_matrix(parse_symbol("x1^2", 1), grid, h=0.1)

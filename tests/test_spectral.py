@@ -160,6 +160,20 @@ def test_schur_solve_is_the_row_formula():
     assert spectral._schur_solves(A)(X, zs).tobytes() == ref.tobytes()
 
 
+def test_shifted_copy_is_the_eye_formula():
+    # one Fortran-ordered copy with its diagonal shifted in place holds
+    # the bytes of A - z I, for complex and real matrices and shifts
+    rng = np.random.default_rng(11)
+    mats = [weyl_quantize_poly(ROT, HermiteBasis(70), h=0.1).matrix,
+            rng.standard_normal((30, 30))]
+    for A in mats:
+        for z in (0.0, 1.5, -2.0, 2 + 1j, -1 + 1j, -0.5 - 0.3j, 0.3j, 1 - 1j):
+            B = spectral._shifted(A, z)
+            ref = A - z * np.eye(A.shape[0])
+            assert B.flags.f_contiguous and B.dtype == ref.dtype
+            assert np.ascontiguousarray(B).tobytes() == ref.tobytes(), z
+
+
 @pytest.mark.parametrize("h", [0.1, 0.07])
 def test_rational_symbol_sigma_min_splits_a_near_double_value(h):
     # s2 / s1 - 1 is 2.1e-6 at h = 0.1 (M = 206) and 1.8e-7 at h = 0.07
