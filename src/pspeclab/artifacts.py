@@ -20,7 +20,6 @@ __all__ = [
     "write_pgm",
     "sha256_file",
     "atlas_to_csv",
-    "levelset_to_json",
     "grid_to_csv",
     "grid_to_pgm",
     "spectrum_to_json",
@@ -142,19 +141,6 @@ def atlas_to_json(path, atlas):
             "candidate_radius": atlas.sigma_inf.candidate_radius,
             "unbounded_count": int(len(atlas.sigma_inf.unbounded_directions)),
         },
-    }
-    return write_json(path, payload)
-
-
-def levelset_to_json(path, ls):
-    payload = {
-        "target": ls.target,
-        "solutions": ls.solutions,
-        "brackets": ls.brackets,
-        "bracket_signs": ls.bracket_signs,
-        "residuals": ls.residuals,
-        "tol": ls.tol,
-        "dedupe": ls.dedupe,
     }
     return write_json(path, payload)
 

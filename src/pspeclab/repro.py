@@ -1,9 +1,10 @@
 """Canned reproduction experiments behind `pspeclab repro` and the
 acceptance suite.
 
-Each experiment returns plain data; the suite runners wrap them into
-pass/fail rows with the tolerances spelled out so a failed row shows
-the measured number next to the expectation.
+Each experiment returns plain data.  The `_CHECKS` table turns them
+into pass/fail rows with the bounds spelled out, so a failed row shows
+the measured number next to the expectation.  Each check is tagged with
+the acceptance criterion it declares; a suite is a list of check keys.
 """
 
 from __future__ import annotations
@@ -220,124 +221,180 @@ def proximity_experiment(h, grid_L=7.0, grid_M=512, support_r2=6.0,
 
 
 # ---------------------------------------------------------------------------
-# suite runners
+# checks: each runs its experiment once and returns pass/fail rows, and
+# declares every bound it applies; the suites and tests/test_acceptance.py
+# both take their rows from _CHECKS
 
 def _row(name, measured, expected, ok):
     return {"name": name, "measured": str(measured), "expected": str(expected),
             "ok": bool(ok)}
 
 
-def _suite_paper_examples():
-    rows = []
+def _spectrum():
     err, _ = rotated_oscillator_spectrum()
-    rows.append(_row("rotated-oscillator spectrum (2k+1)h + 1/4",
-                     f"{err:.2e}", "err <= 1e-6", err <= 1e-6))
+    return [_row("rotated-oscillator spectrum (2k+1)h + 1/4",
+                 f"{err:.2e}", "err <= 1e-6", err <= 1e-6)]
+
+
+def _blowup():
+    # the ratio follows the WKB rate to O(h_max); the thousandfold drop
+    # first holds past the predicted crossover h* = 0.0239
+    p = parse_symbol(ROTATED, 1)
+    z, h_list = 2.0 + 1.0j, [0.1, 0.07, 0.05, 0.035, 0.025]
+    fit, samples = resolvent_decay_experiment(p, z, h_list)
+    ratio = samples[-1][1] / samples[0][1]
+    wkb = rotated_oscillator_blowup_ratio(h_list[0], h_list[-1], z)
+    drop = resolvent_norm(weyl_quantize_poly(p, HermiteBasis(200), 0.02), z,
+                          method="svd") / samples[0][1]
+    wkb_drop = rotated_oscillator_blowup_ratio(h_list[0], 0.02, z)
+    return [_row("resolvent blow-up at z=2+i (exp fit)",
+                 f"rate={fit.exponent:.3f}, R2={fit.r_squared:.3f}",
+                 "rate > 0, R2 >= 0.9",
+                 fit.exponent > 0 and fit.r_squared >= 0.9),
+            _row("blow-up ratio sigma(0.025)/sigma(0.1) vs WKB",
+                 f"{ratio:.2e} (WKB {wkb:.2e})", "WKB to rel 0.1",
+                 abs(ratio / wkb - 1.0) <= h_list[0]),
+            _row("thousandfold drop sigma(0.02)/sigma(0.1)",
+                 f"{drop:.2e} (WKB {wkb_drop:.2e})", "<= 1e-3", drop <= 1e-3)]
+
+
+def _subelliptic():
+    rows = []
+    for k, h_list, tol in ((2, [0.1, 0.05, 0.025, 0.0125, 0.00625], 0.05),
+                           (4, [0.04, 0.02, 0.01, 0.005], 0.08)):
+        fit, _ = subelliptic_experiment(k, h_list)
+        target = k / (k + 1)
+        ok = (abs(fit.exponent - target) <= tol and fit.r_squared >= 0.98
+              and max(h_list) / min(h_list) >= 8)
+        rows.append(_row(f"subelliptic exponent k={k}",
+                         f"{fit.exponent:.4f} (R2={fit.r_squared:.4f})",
+                         f"{target:.4f} +- {tol}, R2 >= 0.98, span >= 8", ok))
+    return rows
+
+
+def _level_set():
     ls = solve_level_set(parse_symbol(RATIONAL_SECTION3, 1), 0.0,
                          [(-3, 3), (-3, 3)], 15)
     pts = np.sort(ls.solutions[:, 1])
     ok = (len(ls) == 2
           and np.allclose(ls.solutions[:, 0], 0.0, atol=1e-8)
           and np.allclose(pts, [-1.0, 1.0], atol=1e-8))
-    rows.append(_row("rational level set p^{-1}(0)",
-                     f"{len(ls)} roots", "{(0,1),(0,-1)} to 1e-8", ok))
-    s = sign_sum(parse_symbol(RATIONAL_REMARK, 1), 0.1, [(-3, 3), (-3, 3)],
-                 seeds_per_axis=30)
-    iota, _ = winding_number(parse_symbol(RATIONAL_REMARK, 1), 0.1, 10.0)
-    rows.append(_row("remark symbol: sign sum and winding at z=0.1",
-                     f"sum={s}, iota={iota}", "2 and 2",
-                     s == 2 and iota == 2))
-    defect, _ = conjugation_identity_experiment()
-    rows.append(_row("conjugation identity interior defect",
-                     f"{defect:.2e}", "<= 1e-6", defect <= 1e-6))
+    return [_row("rational level set p^{-1}(0)",
+                 f"{len(ls)} roots", "{(0,1),(0,-1)} to 1e-8", ok)]
+
+
+def _rational_exponent():
+    fit, _ = rational_resolvent_experiment()
+    return [_row("rational symbol resolvent exponent", f"{fit.exponent:.4f}",
+                 "0.667 +- 0.1", abs(fit.exponent - 2.0 / 3.0) <= 0.1)]
+
+
+def _residual_slopes():
+    rot = parse_symbol(ROTATED, 1)
+    f0, _ = residual_sweep(rot, [1, 1], 0, 0.5, [0.1, 0.07, 0.05, 0.035, 0.025])
+    f2, _ = residual_sweep(rot, [1, 1], 2, 0.5, [0.02, 0.014, 0.01, 0.007, 0.005])
+    fm, _ = residual_sweep(parse_symbol("xi1 - 1i*x1", 1), [0, 0], 0, 0.8,
+                           [0.1, 0.07, 0.05, 0.035, 0.025],
+                           model="exponential")
+    return [_row("beam residual slope N=0", f"{f0.exponent:.3f}",
+                 "[0.9, 1.5]", 0.9 <= f0.exponent <= 1.5),
+            _row("beam residual slope N=2", f"{f2.exponent:.3f}",
+                 ">= 2.7", f2.exponent >= 2.7),
+            _row("model beam exponential rate", f"{fm.exponent:.3f}",
+                 "> 0 with R2 >= 0.9", fm.exponent > 0 and fm.r_squared >= 0.9)]
+
+
+def _beam_mass():
+    qm = build_quasimode(parse_symbol(ROTATED, 1), [1.0, 1.0], 0, 0.5)
+    m = localization_report(qm, 0.01)["masses_outside"][0.5]
+    return [_row("beam FBI mass outside r=0.5 at h=0.01",
+                 f"{m:.2e}", "< 0.01", m < 0.01)]
+
+
+def _remark():
+    p = parse_symbol(RATIONAL_REMARK, 1)
+    s = sign_sum(p, 0.1, [(-3, 3), (-3, 3)], seeds_per_axis=30)
+    iota, _ = winding_number(p, 0.1, 10.0)
+    return [_row("remark symbol: sign sum and winding at z=0.1",
+                 f"sum={s}, iota={iota}", "2 and 2", s == 2 and iota == 2)]
+
+
+def _wick_positivity(count=10):
+    worst = wick_positivity_experiment(count=count)
+    return [_row(f"Wick positivity ({count} draws)", f"{worst:.1e}",
+                 ">= -1e-10", worst >= -1e-10)]
+
+
+def _davies():
     _, max_im, oracle = davies_experiment()
-    rows.append(_row("Davies spectrum: dissipative + tensor oracle",
-                     f"Im<={max_im:.1e}, err={oracle:.1e}",
-                     "Im <= 1e-8, err <= 1e-5",
-                     max_im <= 1e-8 and oracle <= 1e-5))
-    return rows
+    return [_row("Davies spectrum: dissipative + tensor oracle",
+                 f"Im<={max_im:.1e}, err={oracle:.1e}",
+                 "Im <= 1e-8, err <= 1e-5", max_im <= 1e-8 and oracle <= 1e-5)]
 
 
-def _suite_invariants():
-    rows = []
-    p = parse_symbol(ROTATED, 1)
+def _conjugation():
+    defect, rep = conjugation_identity_experiment()
+    moved, bound = rep.spectrum_displacement, 1e-6 * rep.cond
+    return [_row("conjugation identity interior defect",
+                 f"{defect:.2e}", "<= 1e-6", defect <= 1e-6),
+            _row("conjugation spectrum displacement", f"{moved:.1e}",
+                 f"<= 1e-6 cond(E) = {bound:.1e}", moved <= bound)]
+
+
+def _hermitian():
     op = weyl_quantize_poly(parse_symbol("x1^2+xi1^2", 1), HermiteBasis(64), 0.1)
-    rows.append(_row("real symbol Hermitian", f"{op.hermiticity_defect():.1e}",
-                     "<= 1e-12", op.hermiticity_defect() <= 1e-12))
+    d = op.hermiticity_defect()
+    return [_row("real symbol Hermitian", f"{d:.1e}", "<= 1e-12", d <= 1e-12)]
+
+
+def _moyal_commutator():
     x = parse_symbol("x1", 1).to_poly()
     xi = parse_symbol("xi1", 1).to_poly()
     comm = moyal_product(x, xi, 0.25) - moyal_product(xi, x, 0.25)
     c = comm.coeffs.get((0, 0), 0.0)
-    rows.append(_row("Moyal commutator x#xi - xi#x", f"{c}", "i h = 0.25i",
-                     abs(c - 0.25j) < 1e-14))
-    worst = wick_positivity_experiment(count=10)
-    rows.append(_row("Wick positivity (10 draws)", f"{worst:.1e}",
-                     ">= -1e-10", worst >= -1e-10))
-    op2 = weyl_quantize_poly(p, HermiteBasis(60), 0.1)
-    g1 = pseudospectrum_grid(op2, (0.0, 1.0, -0.4, 0.4), (12, 10), threads=1)
-    g8 = pseudospectrum_grid(op2, (0.0, 1.0, -0.4, 0.4), (12, 10), threads=8)
+    return [_row("Moyal commutator x#xi - xi#x", f"{c}", "i h = 0.25i",
+                 abs(c - 0.25j) < 1e-14)]
+
+
+def _determinism():
+    op = weyl_quantize_poly(parse_symbol(ROTATED, 1), HermiteBasis(60), 0.1)
+    g1 = pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (12, 10), threads=1)
+    g8 = pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (12, 10), threads=8)
     same = g1.sigma.tobytes() == g8.sigma.tobytes()
-    rows.append(_row("grid determinism across threads",
-                     "identical" if same else "DIFFERS", "byte-identical",
-                     same))
-    qm = build_quasimode(p, [1.0, 1.0], 0, 0.5)
-    loc = localization_report(qm, 0.01)
-    m = loc["masses_outside"][0.5]
-    rows.append(_row("beam FBI mass outside r=0.5 at h=0.01",
-                     f"{m:.2e}", "< 0.01", m < 0.01))
-    return rows
+    return [_row("grid determinism across threads",
+                 "identical" if same else "DIFFERS", "byte-identical", same)]
 
 
-def _suite_scaling_laws():
-    rows = []
-    for k, h_list, tol in ((2, [0.1, 0.05, 0.025, 0.0125, 0.00625], 0.05),
-                           (4, [0.04, 0.02, 0.01, 0.005], 0.08)):
-        fit, _ = subelliptic_experiment(k, h_list)
-        target = k / (k + 1)
-        ok = abs(fit.exponent - target) <= tol and fit.r_squared >= 0.98
-        rows.append(_row(f"subelliptic exponent k={k}",
-                         f"{fit.exponent:.4f} (R2={fit.r_squared:.4f})",
-                         f"{target:.4f} +- {tol}", ok))
-    z, h_list = 2.0 + 1.0j, [0.1, 0.07, 0.05, 0.035, 0.025]
-    fit, samples = resolvent_decay_experiment(parse_symbol(ROTATED, 1), z,
-                                              h_list)
-    ratio = samples[-1][1] / samples[0][1]
-    wkb = rotated_oscillator_blowup_ratio(h_list[0], h_list[-1], z)
-    rows.append(_row("resolvent blow-up at z=2+i (exp fit)",
-                     f"rate={fit.exponent:.3f}, R2={fit.r_squared:.3f}",
-                     "rate > 0, R2 >= 0.9",
-                     fit.exponent > 0 and fit.r_squared >= 0.9))
-    rows.append(_row("blow-up ratio sigma(0.025)/sigma(0.1) vs WKB",
-                     f"{ratio:.2e} (WKB {wkb:.2e})", "WKB to rel 0.1",
-                     abs(ratio / wkb - 1.0) <= h_list[0]))
-    fit, _ = rational_resolvent_experiment()
-    rows.append(_row("rational symbol resolvent exponent",
-                     f"{fit.exponent:.4f}", "0.667 +- 0.1",
-                     abs(fit.exponent - 2.0 / 3.0) <= 0.1))
-    rot = parse_symbol(ROTATED, 1)
-    f0, _ = residual_sweep(rot, [1, 1], 0, 0.5, [0.1, 0.07, 0.05, 0.035, 0.025])
-    rows.append(_row("beam residual slope N=0", f"{f0.exponent:.3f}",
-                     "[0.9, 1.5]", 0.9 <= f0.exponent <= 1.5))
-    f2, _ = residual_sweep(rot, [1, 1], 2, 0.5, [0.02, 0.014, 0.01, 0.007, 0.005])
-    rows.append(_row("beam residual slope N=2", f"{f2.exponent:.3f}",
-                     ">= 2.7", f2.exponent >= 2.7))
-    fm, _ = residual_sweep(parse_symbol("xi1 - 1i*x1", 1), [0, 0], 0, 0.8,
-                           [0.1, 0.07, 0.05, 0.035, 0.025],
-                           model="exponential")
-    rows.append(_row("model beam exponential rate", f"{fm.exponent:.3f}",
-                     "> 0 with R2 >= 0.9",
-                     fm.exponent > 0 and fm.r_squared >= 0.9))
-    return rows
-
+# key -> (acceptance criterion, or None for a suite-only check; check)
+_CHECKS = {
+    "spectrum": (1, _spectrum),
+    "blow-up": (2, _blowup),
+    "subelliptic": (4, _subelliptic),
+    "level-set": (5, _level_set),
+    "rational-exponent": (5, _rational_exponent),
+    "residual-slopes": (6, _residual_slopes),
+    "beam-mass": (7, _beam_mass),
+    "remark": (8, _remark),
+    "wick-positivity": (10, _wick_positivity),
+    "davies": (10, _davies),
+    "conjugation": (11, _conjugation),
+    "hermitian": (None, _hermitian),
+    "moyal-commutator": (None, _moyal_commutator),
+    "determinism": (None, _determinism),
+}
 
 _SUITES = {
-    "paper-examples": _suite_paper_examples,
-    "invariants": _suite_invariants,
-    "scaling-laws": _suite_scaling_laws,
+    "paper-examples": ("spectrum", "level-set", "remark", "conjugation",
+                       "davies"),
+    "invariants": ("hermitian", "moyal-commutator", "wick-positivity",
+                   "determinism", "beam-mass"),
+    "scaling-laws": ("subelliptic", "blow-up", "rational-exponent",
+                     "residual-slopes"),
 }
 
 
 def run_reproduction_suite(name):
     if name not in _SUITES:
         raise ValueError(f"unknown suite '{name}' (choose from {sorted(_SUITES)})")
-    rows = _SUITES[name]()
+    rows = [row for key in _SUITES[name] for row in _CHECKS[key][1]()]
     return rows, all(r["ok"] for r in rows)

@@ -1,24 +1,17 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one `ACCEPTANCE <n>: PASS|FAIL` line (visible with
-pytest -s or in failure output).  Criterion 2's blow-up at z = 2 + i
-is checked against the WKB asymptotics
-sigma_min(P_h - z) ~ C h^{1/2} e^{-S(z)/h}, S(2 + i) = 0.1948: the
-ratio over the pinned h-list must match the leading-order prediction,
-and the thousandfold drop from h = 0.1 must hold at h = 0.02, the
-first desk-scale h past the predicted crossover h* = 0.0239.  The
-0.216 of the pure-exponential fit over [0.025, 0.1] is an effective
-rate, raised above S by the h^{1/2} prefactor.
+pytest -s or in failure output).  A clause that a `pspeclab repro` suite
+also checks is declared once, as an entry of the `_CHECKS` table in
+`pspeclab/repro.py`; its test asserts that entry's rows.
 """
 
-import cmath
-import math
 import time
 
 import numpy as np
-import pytest
 
-from pspeclab.classical import sign_sum, solve_level_set, winding_number
+from pspeclab import repro
+from pspeclab.classical import sign_sum
 from pspeclab.errors import DynamicalConditionViolated
 from pspeclab.quantize import (
     FourierGrid,
@@ -26,81 +19,47 @@ from pspeclab.quantize import (
     fbi_transform,
     weyl_quantize_poly,
 )
-from pspeclab.quasimodes import build_quasimode, localization_report, \
-    residual_sweep
-from pspeclab.repro import (
-    conjugation_identity_experiment,
-    davies_experiment,
-    moyal_matrix_oracle_experiment,
-    proximity_experiment,
-    rational_resolvent_experiment,
-    resolvent_decay_experiment,
-    rotated_oscillator_spectrum,
-    subelliptic_experiment,
-    wick_positivity_experiment,
-)
+from pspeclab.repro import moyal_matrix_oracle_experiment, proximity_experiment
 from pspeclab.spectral import eigendecompose, pseudospectrum_grid, \
     resolvent_norm
 from pspeclab.symbols import parse_symbol
-from pspeclab.weights import dissipative_resolvent_check, escape_weight
+from pspeclab.weights import dissipative_build, dissipative_resolvent_check, \
+    escape_weight
 
 ROT = parse_symbol("xi1^2 + xi1*1i + x1^2", 1)
-REMARK = parse_symbol("(xi1+1i*x1)^2/(1+x1^2+xi1^2)", 1)
 DAVIES = parse_symbol("xi1^2+xi2^2+x1^2-1i*x2^2", 2)
 
 
-def _report(num, ok, detail):
+def _report(num, ok, detail="", rows=()):
+    """Print the verdict on `ok` and on every row's own `ok`."""
+    ok = ok and all(r["ok"] for r in rows)
+    parts = [f"{r['name']}: {r['measured']} ({r['expected']})" for r in rows]
+    detail = "; ".join(parts + ([detail] if detail else []))
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
 
 
+def _rows(criterion, key, **kwargs):
+    """The rows of repro check `key`, which declares `criterion`."""
+    tag, check = repro._CHECKS[key]
+    assert tag == criterion
+    return check(**kwargs)
+
+
 def test_criterion_01_rotated_oscillator_spectrum():
     t0 = time.perf_counter()
-    err, low = rotated_oscillator_spectrum(M=200, h=0.05, count=10)
+    rows = _rows(1, "spectrum")
     elapsed = time.perf_counter() - t0
-    ok = err <= 1e-6 and elapsed < 10.0
-    assert _report(1, ok,
-                   f"10 lowest eigenvalues off (2k+1)h+1/4 by {err:.2e} "
-                   f"(tol 1e-6), runtime {elapsed:.1f}s (< 10 s)")
+    assert _report(1, elapsed < 10.0, f"runtime {elapsed:.1f}s (< 10 s)", rows)
 
 
 def test_criterion_02_resolvent_blowup_fit():
-    fit, samples = resolvent_decay_experiment(
-        ROT, 2.0 + 1.0j, [0.1, 0.07, 0.05, 0.035, 0.025], M=200)
-    ok = fit.exponent > 0 and fit.r_squared >= 0.9
-    assert _report("2 (fit)", ok,
-                   f"exponential model: decay rate {fit.exponent:.3f} > 0, "
-                   f"R^2 = {fit.r_squared:.4f} >= 0.9")
-
-
-def _wkb_ratio(h0, h1, z):
-    """sqrt(h1/h0) exp(-S (1/h1 - 1/h0)), with the WKB action
-    S(z) = x0 - Im[x0 sqrt(w - x0^2) + w arcsin(x0/sqrt(w))] of the
-    rotated oscillator, w = z - 1/4, x0 = sqrt(Re z - (Im z)^2)."""
-    w = z - 0.25
-    x0 = math.sqrt(z.real - z.imag ** 2)
-    S = x0 - (x0 * cmath.sqrt(w - x0 ** 2)
-              + w * cmath.asin(x0 / cmath.sqrt(w))).imag
-    return math.sqrt(h1 / h0) * math.exp(-S * (1.0 / h1 - 1.0 / h0))
+    assert _report("2 (fit)", True, rows=_rows(2, "blow-up")[:1])
 
 
 def test_criterion_02_thousandfold_drop():
-    # the ratio over the pinned h-list follows the WKB rate S = 0.1948 to
-    # O(h_max); the thousandfold drop first holds past h* = 0.0239
-    z, h_list = 2.0 + 1.0j, [0.1, 0.07, 0.05, 0.035, 0.025]
-    _, samples = resolvent_decay_experiment(ROT, z, h_list, M=200)
-    ratio = samples[-1][1] / samples[0][1]
-    predicted = _wkb_ratio(h_list[0], h_list[-1], z)
-    rel = abs(ratio / predicted - 1.0)
-    sigma_02 = resolvent_norm(weyl_quantize_poly(ROT, HermiteBasis(200), 0.02),
-                              z, method="svd")
-    drop = sigma_02 / samples[0][1]
-    ok = rel <= h_list[0] and drop <= 1e-3
-    assert _report("2 (ratio)", ok,
-                   f"sigma_min(h=0.025)/sigma_min(h=0.1) = {ratio:.3e} vs "
-                   f"WKB {predicted:.3e} (rel {rel:.3f} <= 0.1); "
-                   f"sigma_min(h=0.02)/sigma_min(h=0.1) = {drop:.2e} "
-                   f"(WKB {_wkb_ratio(h_list[0], 0.02, z):.2e}, <= 1e-3)")
+    # the ratio against WKB and the drop at h = 0.02
+    assert _report("2 (ratio)", True, rows=_rows(2, "blow-up")[1:])
 
 
 def test_criterion_03_boundary_exclusion():
@@ -115,57 +74,20 @@ def test_criterion_03_boundary_exclusion():
 
 
 def test_criterion_04_subelliptic_scaling():
-    results = []
-    for k, h_list, tol in ((2, [0.1, 0.05, 0.025, 0.0125, 0.00625], 0.05),
-                           (4, [0.04, 0.02, 0.01, 0.005], 0.08)):
-        fit, _ = subelliptic_experiment(k, h_list)
-        target = k / (k + 1)
-        span = max(h_list) / min(h_list)
-        ok = (abs(fit.exponent - target) <= tol and fit.r_squared >= 0.98
-              and span >= 8)
-        results.append((k, fit, target, tol, ok))
-    all_ok = all(r[-1] for r in results)
-    detail = "; ".join(
-        f"k={k}: exp {fit.exponent:.4f} vs {target:.4f} +- {tol}, "
-        f"R^2={fit.r_squared:.4f}" for k, fit, target, tol, _ in results)
-    assert _report(4, all_ok, detail)
+    assert _report(4, True, rows=_rows(4, "subelliptic"))
 
 
 def test_criterion_05_rational_counterexample():
-    fit, _ = rational_resolvent_experiment()
-    ls = solve_level_set(parse_symbol(
-        "(xi1^2-1+1i*xi1*x1^2/(1+x1^2))/(1+xi1^2+1i*xi1*x1^2/(1+x1^2))", 1),
-        0.0, [(-3, 3), (-3, 3)], 15)
-    roots = ls.solutions[np.argsort(ls.solutions[:, 1])]
-    roots_ok = (len(ls) == 2
-                and np.allclose(roots, [[0.0, -1.0], [0.0, 1.0]], atol=1e-8))
-    exp_ok = abs(fit.exponent - 2.0 / 3.0) <= 0.1
-    ok = roots_ok and exp_ok
-    assert _report(5, ok,
-                   f"resolvent exponent {fit.exponent:.4f} (2/3 +- 0.1); "
-                   f"level set = {np.round(roots, 9).tolist()} (tol 1e-8)")
+    assert _report(5, True, rows=_rows(5, "rational-exponent")
+                   + _rows(5, "level-set"))
 
 
 def test_criterion_06_quasimode_residuals():
-    f0, _ = residual_sweep(ROT, [1, 1], 0, 0.5,
-                           [0.1, 0.07, 0.05, 0.035, 0.025])
-    f2, _ = residual_sweep(ROT, [1, 1], 2, 0.5,
-                           [0.02, 0.014, 0.01, 0.007, 0.005])
-    fm, _ = residual_sweep(parse_symbol("xi1 - 1i*x1", 1), [0, 0], 0, 0.8,
-                           [0.1, 0.07, 0.05, 0.035, 0.025],
-                           model="exponential")
-    ok = (0.9 <= f0.exponent <= 1.5 and f2.exponent >= 2.7
-          and fm.exponent > 0 and fm.r_squared >= 0.9)
-    assert _report(6, ok,
-                   f"slopes: N=0 {f0.exponent:.3f} in [0.9, 1.5]; "
-                   f"N=2 {f2.exponent:.3f} >= 2.7; model rate "
-                   f"{fm.exponent:.3f} > 0 (R^2 {fm.r_squared:.3f})")
+    assert _report(6, True, rows=_rows(6, "residual-slopes"))
 
 
 def test_criterion_07_localization_and_isometry():
-    qm = build_quasimode(ROT, [1.0, 1.0], 0, 0.5)
-    rep = localization_report(qm, 0.01, radii=(0.5,))
-    mass = rep["masses_outside"][0.5]
+    rows = _rows(7, "beam-mass")
     # discrete isometry on 20 random smooth vectors
     h = 0.05
     grid = FourierGrid(8.0, 384)
@@ -181,10 +103,8 @@ def test_criterion_07_localization_and_isometry():
         u = u / np.sqrt((np.abs(u) ** 2).sum() * grid.dx)
         field = fbi_transform(u.astype(complex), grid, h, x_out, xi_out)
         worst = max(worst, abs(field.mass() - 1.0))
-    ok = mass < 0.01 and worst <= 1.5e-3
-    assert _report(7, ok,
-                   f"beam mass outside r=0.5 at h=0.01: {mass:.2e} < 1%; "
-                   f"worst isometry defect {worst:.2e} (tol ~1e-3)")
+    assert _report(7, worst <= 1.5e-3,
+                   f"worst isometry defect {worst:.2e} (tol ~1e-3)", rows)
 
 
 def test_criterion_08_sign_sum_identity():
@@ -194,12 +114,8 @@ def test_criterion_08_sign_sum_identity():
     for j in range(10):
         z = complex(1.0 + 0.08 * j, -(0.2 + 0.03 * j))
         sums.append(sign_sum(p, z, box, seeds_per_axis=16))
-    s_remark = sign_sum(REMARK, 0.1, box, seeds_per_axis=30)
-    iota, _ = winding_number(REMARK, 0.1, 10.0)
-    ok = all(s == 0 for s in sums) and s_remark == 2 and iota == 2
-    assert _report(8, ok,
-                   f"Schrodinger sign sums {sums} (all 0); remark symbol "
-                   f"sum = {s_remark}, winding = {iota} (both 2)")
+    assert _report(8, all(s == 0 for s in sums),
+                   f"Schrodinger sign sums {sums} (all 0)", _rows(8, "remark"))
 
 
 def test_criterion_09_moyal_commutator_consistency():
@@ -211,30 +127,19 @@ def test_criterion_09_moyal_commutator_consistency():
 
 
 def test_criterion_10_wick_and_dissipative():
-    worst = wick_positivity_experiment(count=50)
-    D, max_im, oracle_err = davies_experiment(M=24, h=0.1)
+    rows = _rows(10, "wick-positivity", count=50) + _rows(10, "davies")
+    D = dissipative_build(parse_symbol("xi1^2+xi2^2+x1^2", 2),
+                          parse_symbol("x2^2", 2), HermiteBasis(24, n=2), 0.1)
     rng = np.random.default_rng(31)
     zs = [complex(rng.uniform(-0.5, 2.5), rng.uniform(0.1, 2.0))
           for _ in range(20)]
     check = dissipative_resolvent_check(D, zs)
-    ok = (worst >= -1e-10 and max_im <= 1e-8 and oracle_err <= 1e-5
-          and check["ok"])
-    assert _report(10, ok,
-                   f"50 Wick draws min-eig ratio {worst:.1e} >= -1e-10; "
-                   f"Davies max Im {max_im:.1e} <= 1e-8, tensor err "
-                   f"{oracle_err:.1e} <= 1e-5; 20 resolvent bounds "
-                   f"{'hold' if check['ok'] else 'VIOLATED'}")
+    assert _report(10, check["ok"], "20 resolvent bounds "
+                   f"{'hold' if check['ok'] else 'VIOLATED'}", rows)
 
 
 def test_criterion_11_conjugation_identity():
-    defect, rep = conjugation_identity_experiment(M=60, h=1.0)
-    ok = (defect <= 1e-6
-          and rep.spectrum_displacement <= 1e-6 * rep.cond)
-    assert _report(11, ok,
-                   f"interior-block defect {defect:.2e} <= 1e-6 at eps = h "
-                   f"(h = 1 realizes e^{{-x/2h}}); spectra agree to "
-                   f"{rep.spectrum_displacement:.1e} <= 1e-6 cond(E) "
-                   f"= {1e-6 * rep.cond:.1e}")
+    assert _report(11, True, rows=_rows(11, "conjugation"))
 
 
 def test_criterion_12_escape_function():

@@ -282,6 +282,24 @@ def test_repro_manifest_failure_leaves_no_partial_artifacts(tmp_path,
     _assert_failed_cleanly(out, "OSError")
 
 
+def test_wrong_experiment_turns_its_check_and_repro_red(tmp_path, monkeypatch):
+    from pspeclab import repro
+
+    right = repro.conjugation_identity_experiment
+    monkeypatch.setattr(repro, "conjugation_identity_experiment",
+                        lambda: (1.0, right()[1]))
+    criterion, check = repro._CHECKS["conjugation"]
+    defect_row = check()[0]
+    assert criterion == 11 and not defect_row["ok"]
+    out = tmp_path / "repro"
+    assert run_cli(["repro", "paper-examples", "--out", str(out)]) == 1
+    rows = json.loads((out / "repro.json").read_text())["rows"]
+    assert [r for r in rows if not r["ok"]] == [defect_row]
+    # the scaling-laws suite runs the criterion 2 and 4 checks
+    assert {2, 4} <= {repro._CHECKS[key][0]
+                      for key in repro._SUITES["scaling-laws"]}
+
+
 FUZZ_POOL = [None, True, "abc", [], [[]], {}, float("nan"), float("inf"),
              float("-inf"), -1, 0, 0.5]
 FUZZ_SLOTS = [(name, key) for name in sorted(VALID) if name != "scaling-decay"
