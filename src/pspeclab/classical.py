@@ -291,13 +291,17 @@ def solve_level_set(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 12,
         step = _gauss_newton_step(F, J)
         # walkers with a singular Jacobian produce non-finite steps and
         # are dropped (their frozen position may still pass the final
-        # residual screen if they had already converged)
+        # residual screen if they had already converged); a walker that
+        # the step leaves bitwise in place sees the same step again at
+        # every later iteration, so it is done
         bad = ~np.isfinite(step).all(axis=1)
         step[bad] = 0.0
         idx = np.where(alive)[0]
-        w[idx] = w[idx] - step
-        inside = ((w[idx] >= lo - margin) & (w[idx] <= hi + margin)).all(axis=1)
-        alive[idx[bad | ~inside]] = False
+        moved = w[idx] - step
+        fixed = (moved == w[idx]).all(axis=1)
+        w[idx] = moved
+        inside = ((moved >= lo - margin) & (moved <= hi + margin)).all(axis=1)
+        alive[idx[bad | ~inside | fixed]] = False
 
     vals = p.eval_grid([w[:, k] for k in range(2 * p.n)])
     res = np.abs(vals - z)

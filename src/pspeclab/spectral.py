@@ -6,8 +6,8 @@ computational currency of every experiment here.  One inverse-Lanczos
 driver serves any set of shifts: it runs Lanczos on ((P - z)^H (P - z))^{-1},
 whose largest eigenvalue is sigma_min^-2, and stops a shift once the Ritz
 residual of its top Ritz value is at most SIGMA_TOL times that value.  A
-grid shares one complex Schur factor P = Q T Q*, and all its shifts
-advance together at O(M^2) per step each, instead of the O(M^3) of a full
+grid shares one complex Schur factor T of P = Q T Q* (Q is never
+formed), and all its shifts advance together at O(M^2) per step each, instead of the O(M^3) of a full
 SVD; a single shift may use an LU factor.
 """
 
@@ -115,12 +115,51 @@ def _sigma_min_svd(A, z):
     return float(scipy.linalg.svdvals(_shifted(A, z), overwrite_a=True)[-1])
 
 
+def _schur_T(A):
+    """Upper triangular T unitarily similar to A; no Schur vectors.
+
+    A complex A takes scipy's complex Schur form (zgees).  A real A (real
+    dtype, or an imaginary part that is exactly zero) takes the real
+    quasi-triangular form of dgees, and each 2x2 diagonal block, rows j
+    and j+1, is split by one complex Givens rotation applied to T alone,
+    by the rule of scipy.linalg.rsf2csf (Golub & Van Loan, section 7.4):
+    with lambda_j = wr_j + i wi_j the block eigenvalue dgees returns,
+    mu = lambda_j - T[j+1, j+1] and (c, s) = (mu, T[j+1, j]) / |(mu,
+    T[j+1, j])|, G_j = [[conj(c), s], [-s, c]] makes G_j T G_j^H zero at
+    (j+1, j) and puts lambda_j at (j, j).  The G_j act on disjoint row
+    and column pairs, so they are applied all at once."""
+    if np.iscomplexobj(A) and A.imag.any():
+        return scipy.linalg.schur(A, output="complex")[0]
+    a = np.array(np.asarray_chkfinite(A).real, order="F")
+    gees = scipy.linalg.lapack.dgees
+    select = lambda wr, wi: None            # never called: sort_t=0
+    lwork = int(gees(select, a, compute_v=0, lwork=-1)[-2][0])
+    T, _, wr, wi, _, _, info = gees(select, a, compute_v=0, lwork=lwork,
+                                    overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found")
+    j = np.flatnonzero(wi > 0)              # first rows of the 2x2 blocks
+    mu = wr[j] + 1j * wi[j] - T[j + 1, j + 1]
+    r = np.hypot(np.abs(mu), T[j + 1, j])
+    c, s = mu / r, T[j + 1, j] / r
+    T = T.astype(complex)
+    c, s = c[:, None], s[:, None]           # rows of the block pairs
+    top, bottom = T[j], T[j + 1]
+    T[j], T[j + 1] = c.conj() * top + s * bottom, c * bottom - s * top
+    c, s = c.T, s.T                         # columns of the block pairs
+    left, right = T[:, j], T[:, j + 1]
+    T[:, j], T[:, j + 1] = c * left + s * right, c.conj() * right - s * left
+    T[j + 1, j] = 0.0
+    return T
+
+
 def _schur_solves(A):
-    """Solve pair on the complex Schur factor T of A: column j of X
-    becomes ((T - z_j)^H (T - z_j))^{-1} x_j, in place.  The off-diagonal
-    blocks of T - z_j do not depend on z_j, so one GEMM updates every
-    shift; only the diagonal blocks are solved per shift, row by row."""
-    T = scipy.linalg.schur(A, output="complex")[0]
+    """Solve pair on the complex Schur factor T of A (see _schur_T):
+    column j of X becomes ((T - z_j)^H (T - z_j))^{-1} x_j, in place.
+    The off-diagonal blocks of T - z_j do not depend on z_j, so one GEMM
+    updates every shift; only the diagonal blocks are solved per shift,
+    row by row."""
+    T = _schur_T(A)
     M = T.shape[0]
     TH = np.ascontiguousarray(T.conj().T)
     d = np.diag(T)
@@ -435,36 +474,37 @@ def _marching_squares(xs, ys, field, level):
 
 
 def _chain_segments(segments, digits=9):
-    """Join segments into polylines by matching endpoints."""
+    """Join segments into polylines by matching endpoints, rounded to
+    digits; each endpoint's key is computed once and travels with it."""
     def key(p):
         return (round(p[0], digits), round(p[1], digits))
 
+    keyed = [(a, b, key(a), key(b)) for a, b in segments]
     adj = {}
-    for a, b in segments:
-        adj.setdefault(key(a), []).append((a, b))
-        adj.setdefault(key(b), []).append((b, a))
+    for a, b, ka, kb in keyed:
+        adj.setdefault(ka, []).append((b, (ka, kb)))
+        adj.setdefault(kb, []).append((a, (kb, ka)))
     used = set()
     lines = []
-    for a, b in segments:
-        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+    for a, b, ka, kb in keyed:
+        if (ka, kb) in used or (kb, ka) in used:
             continue
-        chain = [a, b]
-        used.add((key(a), key(b)))
-        # extend forward
+        chain, keys = [a, b], [ka, kb]
+        used.add((ka, kb))
+        # extend forward, then backward
         for _ in range(2):
             extended = True
             while extended:
                 extended = False
-                tail = chain[-1]
-                for (p, q) in adj.get(key(tail), []):
-                    pair = (key(p), key(q))
+                for q, pair in adj[keys[-1]]:
                     if pair in used or (pair[1], pair[0]) in used:
                         continue
                     chain.append(q)
+                    keys.append(pair[1])
                     used.add(pair)
                     extended = True
                     break
             chain.reverse()
-        closed = key(chain[0]) == key(chain[-1])
-        lines.append(Polyline(np.array(chain), closed))
+            keys.reverse()
+        lines.append(Polyline(np.array(chain), keys[0] == keys[-1]))
     return lines

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pspeclab import classical
 from pspeclab.classical import (
     sample_symbol_range,
     sigma_infinity,
@@ -217,6 +218,71 @@ def test_level_set_n2():
     assert np.all(np.abs(ls.solutions[:, 1]) < 1e-4)
     r2 = (ls.solutions[:, 0]**2 + ls.solutions[:, 2]**2 + ls.solutions[:, 3]**2)
     assert np.allclose(r2, 1.0, atol=1e-6)
+
+
+def _level_set_without_fixed_point_stop(p, z, box, seeds_per_axis,
+                                        max_iter=60):
+    """solve_level_set as it was before walkers stopped at a bitwise fixed
+    point: a walker runs every Gauss-Newton step until it leaves the box
+    or its step is non-finite."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    z = complex(z)
+    level_tol = 1e-8 * max(1.0, abs(z))
+    dedupe = 1e-6 * float(np.linalg.norm([hi - lo for lo, hi in box]))
+    axes = [np.linspace(lo, hi, seeds_per_axis) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    w = np.stack([m.ravel() for m in mesh], axis=1).astype(float)
+    lo = np.array([b[0] for b in box])
+    hi = np.array([b[1] for b in box])
+    margin = 0.5 * (hi - lo)
+    alive = np.ones(len(w), dtype=bool)
+    for _ in range(max_iter):
+        if not alive.any():
+            break
+        coords = [w[alive][:, k] for k in range(2 * p.n)]
+        vals, grads = p.eval_with_gradient(coords)
+        F = np.stack([np.real(vals - z), np.imag(vals - z)], axis=1)
+        J = np.stack([np.stack([np.real(g) for g in grads], axis=1),
+                      np.stack([np.imag(g) for g in grads], axis=1)], axis=1)
+        step = classical._gauss_newton_step(F, J)
+        bad = ~np.isfinite(step).all(axis=1)
+        step[bad] = 0.0
+        idx = np.where(alive)[0]
+        w[idx] = w[idx] - step
+        inside = ((w[idx] >= lo - margin) & (w[idx] <= hi + margin)).all(axis=1)
+        alive[idx[bad | ~inside]] = False
+    res = np.abs(p.eval_grid([w[:, k] for k in range(2 * p.n)]) - z)
+    roots = w[np.isfinite(res) & (res <= level_tol)]
+    kept = classical._cluster_centroids(roots, dedupe) if len(roots) else \
+        np.zeros((0, 2 * p.n))
+    if len(kept):
+        vals_k, brk = classical.real_bracket_values(
+            p, [kept[:, k] for k in range(2 * p.n)])
+        res_k = np.abs(vals_k - z)
+    else:
+        brk, res_k = np.zeros(0), np.zeros(0)
+    bracket_tol = classical.BRACKET_TOL * max(
+        1.0, float(np.abs(brk).max()) if len(brk) else 1.0)
+    signs = np.where(np.abs(brk) <= bracket_tol, 0, np.sign(brk)).astype(int)
+    return kept, np.asarray(brk, dtype=float), res_k, signs
+
+
+@pytest.mark.parametrize("p, z, box, seeds", [
+    (RATIONAL2, 0.0, BOX1, 15),
+    (RATIONAL, 0.1, BOX1, 30),
+    (ROT, 2.0 + 1.0j, BOX1, 24),
+    (parse_symbol("xi1^2+xi2^2+x1^2-1i*x2^2", 2), 1.0, [(-1.6, 1.6)] * 4, 5),
+])
+def test_level_set_fixed_point_stop_keeps_the_bytes(p, z, box, seeds):
+    # a walker at a bitwise fixed point leaves the batch early; every
+    # output is byte-identical to running it for all max_iter steps
+    ls = solve_level_set(p, z, box, seeds_per_axis=seeds)
+    ref = _level_set_without_fixed_point_stop(p, z, box, seeds)
+    assert len(ls) > 0
+    got = (ls.solutions, ls.brackets, ls.residuals, ls.bracket_signs)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_atlas_skips_singular_grid_points():

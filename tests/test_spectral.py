@@ -145,7 +145,7 @@ def test_schur_solve_is_the_row_formula():
     rng = np.random.default_rng(5)
     zs = rng.uniform(-1, 2, 9) + 1j * rng.uniform(-1, 1, 9)
     X = rng.standard_normal((70, 9)) + 1j * rng.standard_normal((70, 9))
-    T = scipy.linalg.schur(A, output="complex")[0]
+    T = spectral._schur_T(A)
     TH, d = np.ascontiguousarray(T.conj().T), np.diag(T)
     blocks = [(s, min(s + spectral._BLOCK, 70)) for s in range(0, 70, spectral._BLOCK)]
     ref = X.copy()
@@ -158,6 +158,53 @@ def test_schur_solve_is_the_row_formula():
         for i in range(e - 1, s - 1, -1):
             ref[i] = (ref[i] - T[i, i + 1:e] @ ref[i + 1:e]) / (d[i] - zs)
     assert spectral._schur_solves(A)(X, zs).tobytes() == ref.tobytes()
+
+
+def test_real_schur_factor_is_triangular_and_similar():
+    # the rotated oscillator's Hermite matrix is exactly real: dgees's
+    # quasi-triangular form, with each 2x2 block split by a rotation
+    A = weyl_quantize_poly(ROT, HermiteBasis(200), h=0.05).matrix
+    assert A.dtype == complex and not A.imag.any()
+    T = spectral._schur_T(A)
+    assert T.dtype == complex and np.array_equal(T, np.triu(T))
+    assert np.linalg.norm(T) == pytest.approx(np.linalg.norm(A), rel=1e-14)
+    a = np.array(A.real, order="F")
+    gees = scipy.linalg.lapack.dgees
+    lwork = int(gees(lambda wr, wi: None, a, compute_v=0, lwork=-1)[-2][0])
+    _, _, wr, wi, _, _, info = gees(lambda wr, wi: None, a, compute_v=0,
+                                    lwork=lwork)
+    assert info == 0 and (wi > 0).sum() == 84
+    # lambda_j = wr_j + i wi_j lands on T[j, j], conjugate pairs included
+    # (position by position, so no sort has to pair them up)
+    lam = wr + 1j * wi
+    assert np.abs(np.diag(T) - lam).max() <= 1e-13 * np.linalg.norm(A, 2)
+
+
+def test_complex_schur_factor_is_scipys():
+    A = weyl_quantize_grid(ROT, FourierGrid(2.5, 64), 0.1, xi_limit=1.0,
+                           tail_frac_tol=1.0).matrix
+    assert A.imag.any()
+    T = spectral._schur_T(A)
+    assert T.tobytes() == scipy.linalg.schur(A, output="complex")[0].tobytes()
+
+
+def test_real_grid_does_not_depend_on_the_storage_dtype():
+    # the factor depends on the values only; the norm (and with it the
+    # floor) comes from LAPACK per dtype, so both share the complex one
+    op = weyl_quantize_poly(ROT, HermiteBasis(80), h=0.1)
+    real = OperatorMatrix(op.matrix.real.copy(), op.h, op.basis,
+                          meta={"norm2": op.norm()})
+    rect, shape = (-0.5, 2.0, -1.0, 1.0), (9, 7)
+    g_complex = pseudospectrum_grid(op, rect, shape)
+    g_real = pseudospectrum_grid(real, rect, shape)
+    assert g_real.sigma.tobytes() == g_complex.sigma.tobytes()
+    assert g_real.floored.tobytes() == g_complex.floored.tobytes()
+    # and it matches the SVD to 1e-12 relative, plus the 2 eps ||P||
+    # that a backward-stable SVD of P - z may itself be off by
+    svd = pseudospectrum_grid(real, rect, shape, force_svd=True)
+    err = np.abs(g_real.sigma - svd.sigma)
+    assert (err <= 1e-12 * svd.sigma + 2 * np.finfo(float).eps * op.norm()).all()
+    assert g_real.timing["svd_fallbacks"] == 0
 
 
 def test_shifted_copy_is_the_eye_formula():
@@ -426,6 +473,58 @@ def test_contour_monotone_containment():
     assert np.all(big | ~small)  # eps2 region inside eps1 region
     lines = contour_extract(grid, [1e-1, 1e-2])
     assert len(lines[1e-1]) >= 1
+
+
+def _chain_segments_rounding_per_lookup(segments, digits=9):
+    """spectral._chain_segments before each endpoint's key was computed
+    once: every lookup rounds the endpoint again."""
+    def key(p):
+        return (round(p[0], digits), round(p[1], digits))
+
+    adj = {}
+    for a, b in segments:
+        adj.setdefault(key(a), []).append((a, b))
+        adj.setdefault(key(b), []).append((b, a))
+    used = set()
+    lines = []
+    for a, b in segments:
+        if (key(a), key(b)) in used or (key(b), key(a)) in used:
+            continue
+        chain = [a, b]
+        used.add((key(a), key(b)))
+        for _ in range(2):
+            extended = True
+            while extended:
+                extended = False
+                for (p, q) in adj.get(key(chain[-1]), []):
+                    pair = (key(p), key(q))
+                    if pair in used or (pair[1], pair[0]) in used:
+                        continue
+                    chain.append(q)
+                    used.add(pair)
+                    extended = True
+                    break
+            chain.reverse()
+        lines.append((np.array(chain), key(chain[0]) == key(chain[-1])))
+    return lines
+
+
+def test_contour_chaining_keeps_the_bytes():
+    # the rotated grid's contours leave the rectangle; the circle field's
+    # close
+    op = weyl_quantize_poly(ROT, HermiteBasis(200), h=0.05)
+    grid = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (26, 21))
+    t = np.linspace(-2, 2, 41)
+    circle = np.abs(t[:, None] + 1j * t[None, :])
+    cases = [(grid.re, grid.im, grid.sigma, level) for level in (1e-4, 1e-2, 0.3)]
+    for xs, ys, field, level in cases + [(t, t, circle, 1.0)]:
+        segments = spectral._marching_squares(xs, ys, field, level)
+        got = spectral._chain_segments(segments)
+        ref = _chain_segments_rounding_per_lookup(segments)
+        assert len(got) == len(ref) > 0
+        for pl, (points, closed) in zip(got, ref):
+            assert pl.closed == closed
+            assert pl.points.tobytes() == points.tobytes()
 
 
 def test_contour_outside_range_empty():
