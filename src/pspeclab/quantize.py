@@ -4,7 +4,9 @@ Three quantization paths:
 
 * ``weyl_quantize_poly`` — Weyl-symmetrized (McCoy) operator ordering of
   polynomial symbols on an h-scaled Hermite basis, where the harmonic
-  oscillator is exactly diagonal.
+  oscillator is exactly diagonal.  x and hD are tridiagonal there, so
+  the McCoy products are band products (``_Band``), O(M deg^2) plus the
+  fill of the M x M result, with no BLAS kernel.
 * ``weyl_quantize_grid`` — direct midpoint-kernel discretization on a
   periodic spatial grid (n = 1), with the xi-limit split off so
   non-decaying symbols stay within the dual window.  The (2M, M)
@@ -113,15 +115,31 @@ class HermiteBasis(_Basis):
 
     def ladder(self):
         """Lowering operator a with a[k-1, k] = sqrt(k)."""
-        return np.diag(np.sqrt(np.arange(1, self.M)), 1).astype(complex)
+        return _Band(self.M, {1: self._roots()[0]}).dense(self.M)
 
     def position_1d(self, h):
-        a = self.ladder()
-        return math.sqrt(h / 2.0) * (a + a.conj().T)
+        return self._ladder_bands(h)[0].dense(self.M)
 
     def momentum_1d(self, h):
-        a = self.ladder()
-        return 1j * math.sqrt(h / 2.0) * (a.conj().T - a)
+        return self._ladder_bands(h)[1].dense(self.M)
+
+    def _roots(self):
+        """The diagonals of a and of its adjoint: a[i, i + 1] = sqrt(i + 1)
+        and a^T[i, i - 1] = sqrt(i), each zero where the column leaves the
+        basis."""
+        down = np.sqrt(np.arange(self.M)).astype(complex)
+        return np.append(down[1:], 0), down
+
+    def _ladder_bands(self, h):
+        """Position sqrt(h/2) (a + a^T) and momentum
+        i sqrt(h/2) (a^T - a) as _Band ladders.  Their entries are the
+        bytes of the dense products of a and its conjugate transpose,
+        signed zeros included: -up has the -0.0 imaginary parts of the
+        dense a.conj().T - a."""
+        up, down = self._roots()
+        c = math.sqrt(h / 2.0)
+        return (_Band(self.M, {1: c * up, -1: c * down}),
+                _Band(self.M, {1: 1j * c * -up, -1: 1j * c * down}))
 
     def evaluate(self, coeffs, x, h):
         """Evaluate a coefficient vector on a 1-D spatial grid (n = 1)."""
@@ -240,6 +258,57 @@ class _LinearMap:
         return _LinearMap(lambda v: self.apply(v) / c)
 
 
+class _Band:
+    """A square matrix of order N stored by its diagonals: offset s maps
+    to the length-N array d with d[i] = A[i, i + s], zero where i + s
+    falls outside the matrix.  It has the operations _mccoy_1d combines
+    operators by (@, +, c * and / c), each an O(N) array operation per
+    pair of diagonals, so a product of bandwidths p and q costs
+    O(N p q) instead of a dense O(N^3)."""
+
+    def __init__(self, N, diags):
+        self.N = N
+        self.diags = diags
+
+    def __matmul__(self, other):
+        # (A B)[i, i + s + t] sums A[i, i + s] B[i + s, i + s + t]; rows
+        # whose i + s + t leaves the matrix read B's zero padding
+        N, out = self.N, {}
+        for s, a in self.diags.items():
+            lo, hi = max(0, -s), min(N, N - s)
+            for t, b in other.diags.items():
+                if abs(s + t) >= N:
+                    continue
+                if s + t not in out:
+                    out[s + t] = np.zeros(N, dtype=complex)
+                out[s + t][lo:hi] += a[lo:hi] * b[lo + s:hi + s]
+        return _Band(N, out)
+
+    def __add__(self, other):
+        out = dict(self.diags)
+        for s, d in other.diags.items():
+            out[s] = out[s] + d if s in out else d
+        return _Band(self.N, out)
+
+    def __rmul__(self, c):
+        return _Band(self.N, {s: c * d for s, d in self.diags.items()})
+
+    def __truediv__(self, c):
+        return _Band(self.N, {s: d / c for s, d in self.diags.items()})
+
+    def dense(self, M):
+        """The leading M x M block (M <= N) as a dense complex matrix,
+        each diagonal written once through a strided view of the flat
+        array."""
+        A = np.zeros((M, M), dtype=complex)
+        flat = A.reshape(-1)
+        for s, d in self.diags.items():
+            if abs(s) < M:
+                i0 = max(0, -s)
+                flat[i0 * (M + 1) + s::M + 1][:M - abs(s)] = d[i0:i0 + M - abs(s)]
+        return A
+
+
 @dataclass
 class OperatorMatrix:
     """Dense matrix discretization of a quantized symbol."""
@@ -292,8 +361,9 @@ def _mccoy_1d(X, P, a, b):
     splitting the factor A of lower degree m around the other's k-th
     power B^k to minimize multiplications.  X(k) and P(k) return the
     k-th powers of the position and momentum operators, in any type with
-    @ (composition), + and multiplication and division by numbers:
-    matrices on the Hermite basis, _LinearMap on the grid."""
+    @ (composition), + and multiplication and division by numbers.
+    Three rings serve it: _Band on the Hermite basis, _LinearMap on the
+    grid, and dense matrices."""
     if b == 0:
         return X(a)
     if a == 0:
@@ -311,8 +381,14 @@ def weyl_quantize_poly(p, basis: HermiteBasis, h: float) -> OperatorMatrix:
     """Weyl quantization of a polynomial symbol on the Hermite basis.
 
     Each monomial x^alpha xi^beta maps to the McCoy-symmetrized product
-    of the ladder-built position/momentum matrices, per axis, joined by
-    Kronecker products (axis 1 slowest).
+    of the ladder-built position/momentum operators, per axis, joined by
+    Kronecker products (axis 1 slowest).  The products are banded
+    (_Band): x and hD are tridiagonal, so a 1-D monomial of degree d has
+    2d + 1 diagonals, and the quantization costs O(M deg^2) plus the
+    fill of the dense result.  For n = 1 the monomials are summed as
+    bands and the result's diagonals written once; for n >= 2 each 1-D
+    factor is made dense before the Kronecker products.  No BLAS kernel
+    runs.
     """
     poly = _finite_poly(p)
     n = basis.n
@@ -323,19 +399,21 @@ def weyl_quantize_poly(p, basis: HermiteBasis, h: float) -> OperatorMatrix:
     # build ladder products on a padded basis and slice back, so the
     # returned entries are exact matrix elements of the untruncated
     # operator (a monomial couples modes within distance deg only)
-    padded = HermiteBasis(basis.M + deg, 1)
-    X = functools.partial(np.linalg.matrix_power, padded.position_1d(h))
-    P = functools.partial(np.linalg.matrix_power, padded.momentum_1d(h))
-    M = basis.M
-    total = np.zeros((basis.size, basis.size), dtype=complex)
-    cache = {}
-    with single_thread_below(basis.size):
+    N, M = basis.M + deg, basis.M
+    X, P = map(_band_powers, HermiteBasis(N)._ladder_bands(h))
+    if n == 1:
+        total = functools.reduce(operator.add, (
+            complex(coeff) * _mccoy_1d(X, P, a, b)
+            for (a, b), coeff in poly.coeffs.items()), _Band(N, {})).dense(M)
+    else:
+        total = np.zeros((basis.size, basis.size), dtype=complex)
+        cache = {}
         for key, coeff in poly.coeffs.items():
             factors = []
             for axis in range(n):
                 a, b = key[axis], key[n + axis]
                 if (a, b) not in cache:
-                    cache[(a, b)] = _mccoy_1d(X, P, a, b)[:M, :M]
+                    cache[(a, b)] = _mccoy_1d(X, P, a, b).dense(M)
                 factors.append(cache[(a, b)])
             term = factors[0]
             for f in factors[1:]:
@@ -343,6 +421,16 @@ def weyl_quantize_poly(p, basis: HermiteBasis, h: float) -> OperatorMatrix:
             total += complex(coeff) * term
     return OperatorMatrix(total, h, basis,
                           provenance=f"weyl_poly(deg={deg})")
+
+
+def _band_powers(base):
+    """k -> base^k (a _Band), each power computed once from the last."""
+    @functools.cache
+    def power(k):
+        if k == 0:
+            return _Band(base.N, {0: np.ones(base.N, dtype=complex)})
+        return power(k - 1) @ base
+    return power
 
 
 def _tail_dominance_check(poly, basis, h):

@@ -1,12 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from pspeclab.errors import NonFiniteError, NotPolynomialError
+from pspeclab.errors import GridResolutionError, NonFiniteError, NotPolynomialError
 from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
+    _mccoy_1d,
     fbi_transform,
     gaussian_smooth_poly,
     hermite_functions,
@@ -50,6 +52,113 @@ def test_tail_mass_counts_the_outer_indices_of_any_axis(basis, outer, frac):
                    if any(out1[k] for k in idx))
         expected.append(tail / total if total > 0 else 0.0)
     assert np.allclose(basis.tail_mass(V, frac=frac), expected, rtol=1e-12, atol=0)
+
+
+def _dense_weyl_poly(poly, basis, h):
+    """The dense McCoy quantization that the band products are checked
+    against: np.linalg.matrix_power of the ladder matrices on the
+    degree-padded basis, sliced to M x M per axis and joined by
+    Kronecker products."""
+    n, M, deg = basis.n, basis.M, poly.degree()
+    padded = HermiteBasis(M + deg, 1)
+    X = functools.partial(np.linalg.matrix_power, padded.position_1d(h))
+    P = functools.partial(np.linalg.matrix_power, padded.momentum_1d(h))
+    total = np.zeros((basis.size, basis.size), dtype=complex)
+    for key, coeff in poly.coeffs.items():
+        factors = [_mccoy_1d(X, P, key[axis], key[n + axis])[:M, :M]
+                   for axis in range(n)]
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.kron(term, f)
+        total += complex(coeff) * term
+    return total
+
+
+# degrees 0 to 6, mixed monomials and complex coefficients
+_ORACLE_SYMBOLS_1D = [
+    "2 - 3i",
+    "x1 - 2i*xi1 + 0.5",
+    "xi1^2 + xi1*1i + x1^2",
+    "x1*xi1^2 + (1-2i)*x1^2*xi1 + 3i*x1",
+    "x1^2*xi1^2 - 0.5i*x1^3*xi1 + x1^4",
+    "x1^2*xi1^3 + (2+1i)*x1^5 - xi1^4",
+    "x1^3*xi1^3 - 1i*xi1^6 + x1^4*xi1^2 + (0.5-1i)*x1",
+]
+_ORACLE_SYMBOLS_2D = [
+    "xi1^2 + xi2^2 + 1i*(x1^2 + x2^2)",
+    "x1*xi2 + x2^2*xi1^2 - 1i*x1^3*xi2 + 2",
+    "x1^3*xi2^3 + 1i*xi1^2*x2^4 - x2*xi1",
+]
+
+
+def _imaginary_support(poly, modes):
+    """Where the matrix of poly can have a non-zero imaginary part.  x
+    and hD step one mode with real and imaginary entries, so the term
+    c x^alpha xi^beta has entries c i^|beta| times real numbers, at
+    per-axis mode offsets o_k with |o_k| <= alpha_k + beta_k and
+    o_k = alpha_k + beta_k mod 2.  Every other entry's imaginary part is
+    zero by structure: a term with c i^|beta| real adds none anywhere
+    (a real symbol with even powers of xi quantizes to a real matrix)."""
+    n = poly.n
+    offsets = [k[:, None] - k[None, :] for k in modes]
+    out = np.zeros((modes[0].size,) * 2, dtype=bool)
+    for key, coeff in poly.coeffs.items():
+        if (complex(coeff) * (1, 1j, -1, -1j)[sum(key[n:]) % 4]).imag == 0:
+            continue
+        steps = [key[axis] + key[n + axis] for axis in range(n)]
+        out |= functools.reduce(np.logical_and, (
+            (np.abs(o) <= d) & ((o - d) % 2 == 0) for o, d in zip(offsets, steps)))
+    return out
+
+
+@pytest.mark.parametrize("text, n, sizes", [
+    *[(t, 1, (12, 60, 200)) for t in _ORACLE_SYMBOLS_1D],
+    # n = 2 stops at M = 12: the dense reference at M = 60 is 3600 x 3600
+    *[(t, 2, (12,)) for t in _ORACLE_SYMBOLS_2D],
+])
+def test_band_weyl_poly_matches_the_dense_mccoy_reference(text, n, sizes):
+    poly = parse_symbol(text, n).to_poly()
+    deg = poly.degree()
+    eps = np.finfo(float).eps
+    if deg:
+        with pytest.raises(GridResolutionError, match="too high"):
+            weyl_quantize_poly(poly, HermiteBasis(deg, n), 0.1)
+    for M in (deg + 1, *sizes):
+        basis = HermiteBasis(M, n)
+        # per-axis mode indices of each row and column, axis 1 slowest
+        modes = np.unravel_index(np.arange(basis.size), (M,) * n)
+        outside = functools.reduce(np.logical_or, (
+            np.abs(k[:, None] - k[None, :]) > deg for k in modes))
+        # exactly-zero imaginary parts by structure; where terms cancel
+        # (entry (5, 0) of x1^2*xi1^3 + (2+1i)*x1^5, the diagonal of
+        # x1*xi1^3's McCoy sum) a zero is a coincidence of rounding in
+        # either path
+        real = ~_imaginary_support(poly, modes)
+        for h in (0.02, 0.1, 1.0):
+            A = weyl_quantize_poly(poly, basis, h).matrix
+            ref = _dense_weyl_poly(poly, basis, h)
+            where = f"{text} M={M} h={h}"
+            assert np.abs(A - ref).max() <= 8 * eps * np.abs(ref).max(), where
+            assert not A[outside].any(), where
+            assert not ref.imag[real].any() and not A.imag[real].any(), where
+
+
+def _dense_ladders(M, h):
+    """HermiteBasis's dense builders of a, position and momentum."""
+    a = np.diag(np.sqrt(np.arange(1, M)), 1).astype(complex)
+    c = math.sqrt(h / 2.0)
+    return a, c * (a + a.conj().T), 1j * c * (a.conj().T - a)
+
+
+@pytest.mark.parametrize("M", [1, 2, 9, 64])
+def test_ladder_matrices_keep_the_dense_builders_bytes(M):
+    # signed zeros included: the bytes, not the values, are compared
+    basis = HermiteBasis(M)
+    for h in (0.02, 0.1, 0.37, 1.0):
+        a, X, P = _dense_ladders(M, h)
+        assert basis.ladder().tobytes() == a.tobytes()
+        assert basis.position_1d(h).tobytes() == X.tobytes()
+        assert basis.momentum_1d(h).tobytes() == P.tobytes()
 
 
 def test_harmonic_oscillator_diagonal():
