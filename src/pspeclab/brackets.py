@@ -34,17 +34,7 @@ LEVEL_TOL = 1e-8        # |p(w) - z| tolerance for membership in a level set
 
 def poisson_bracket_jets(f: Jet, g: Jet) -> complex:
     """{f, g} at the common base point from two degree->=1 jets."""
-    n = f.nvars // 2
-    total = 0.0 + 0.0j
-    for j in range(n):
-        ex = [0] * f.nvars
-        exi = [0] * f.nvars
-        ex[j] = 1
-        exi[n + j] = 1
-        ex, exi = tuple(ex), tuple(exi)
-        total += f.coefficient(exi) * g.coefficient(ex) \
-            - f.coefficient(ex) * g.coefficient(exi)
-    return total
+    return hamilton_bracket_jet(f, g).value()
 
 
 def poisson_bracket(f: SymbolExpr, g: SymbolExpr, w) -> complex:
@@ -101,9 +91,7 @@ def repeated_brackets(p: SymbolExpr, z0: complex, w, j_max: int,
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     w = np.asarray(w, dtype=float)
-    base = eval_jet(p, w, j_max + 1)
-    zpos = (0,) * base.nvars
-    base.coeffs[zpos] = base.coeffs[zpos] - complex(z0)
+    base = eval_jet(p, w, j_max + 1) - Jet.constant(2 * p.n, j_max + 1, z0)
     parts = {1: base.real_part(), 2: base.imag_part()}
 
     memo: dict[tuple, Jet] = {(1,): parts[1], (2,): parts[2]}

@@ -8,6 +8,10 @@ derivative queries up to order D, which is what the repeated-bracket
 machinery needs.  ``eval_jet`` runs the symbol tree's one fold
 (``symbols._fold``) over the ``Jet`` ring and raises ``NonFiniteError``
 when the value at the point is not finite.
+
+``Jet`` owns its coefficient layout, a dense dict keyed by multi-index:
+``Jet._map`` and ``Jet.from_terms`` build jets, and the bracket and
+WKB beam code only reads coefficients.
 """
 
 from __future__ import annotations
@@ -83,36 +87,44 @@ class Jet:
             fact *= math.factorial(a)
         return self.coefficient(alpha) * fact
 
+    # -- coefficient layout -------------------------------------------------
+    # Jets are built whole by `_map` (one value per multi-index) or
+    # `from_terms` (a sum of monomials); only `__mul__` and `partial`
+    # accumulate into a new jet's coefficients themselves.
+
+    def _map(self, f, degree=None):
+        """New jet at this base point, of total degree `degree` (default:
+        this jet's), with coefficient f(a) at every multi-index a."""
+        degree = self.degree if degree is None else degree
+        return Jet(self.nvars, degree, self.base,
+                   {a: f(a) for a in multi_indices(self.nvars, degree)})
+
+    @classmethod
+    def from_terms(cls, nvars, degree, terms):
+        """The jet of sum c t^a over the (a, c) pairs of `terms`, summed in
+        order onto zero coefficients; pairs of total degree above
+        `degree` are dropped."""
+        jet = cls(nvars, degree)
+        for a, c in terms:
+            if sum(a) <= degree:
+                jet.coeffs[a] = jet.coeffs[a] + c
+        return jet
+
     # -- ring operations ----------------------------------------------------
 
-    def _like(self):
-        return Jet(self.nvars, self.degree, self.base)
-
     def __add__(self, other):
-        out = self._like()
-        for a in out.coeffs:
-            out.coeffs[a] = self.coeffs[a] + other.coeffs[a]
-        return out
+        return self._map(lambda a: self.coeffs[a] + other.coeffs[a])
 
     def __sub__(self, other):
-        out = self._like()
-        for a in out.coeffs:
-            out.coeffs[a] = self.coeffs[a] - other.coeffs[a]
-        return out
+        return self._map(lambda a: self.coeffs[a] - other.coeffs[a])
 
     def __neg__(self):
-        out = self._like()
-        for a in out.coeffs:
-            out.coeffs[a] = -self.coeffs[a]
-        return out
+        return self._map(lambda a: -self.coeffs[a])
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            out = self._like()
-            for a in out.coeffs:
-                out.coeffs[a] = self.coeffs[a] * other
-            return out
-        out = self._like()
+            return self._map(lambda a: self.coeffs[a] * other)
+        out = Jet(self.nvars, self.degree, self.base)
         D = self.degree
         items_a = [(a, v) for a, v in self.coeffs.items() if v != 0]
         items_b = [(b, v) for b, v in other.coeffs.items() if v != 0]
@@ -128,26 +140,25 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def _series(self, weight):
+        """1 + sum_{k=1..degree} u^k for this jet u, each coefficient c of
+        u^k weighted as weight(k, c).  u has no constant term, so the
+        sum is exact at the truncation degree."""
+        out = term = Jet.constant(self.nvars, self.degree, 1.0, self.base)
+        for k in range(1, self.degree + 1):
+            term = term * self
+            out = out._map(lambda a: out.coeffs[a] + weight(k, term.coeffs[a]))
+        return out
+
     def reciprocal(self):
         c0 = self.value()
         if abs(c0) < 1e-300:
             raise JetDivisionError(
                 "denominator jet has vanishing constant term at the base point")
         # 1/(c0 (1 + u)) = (1/c0) sum (-u)^k, u = (self - c0)/c0
-        u = self._like()
-        for a in u.coeffs:
-            u.coeffs[a] = self.coeffs[a] / c0
-        u.coeffs[(0,) * self.nvars] = 0.0 + 0.0j
-        out = Jet.constant(self.nvars, self.degree, 1.0, self.base)
-        term = Jet.constant(self.nvars, self.degree, 1.0, self.base)
-        for k in range(1, self.degree + 1):
-            term = term * u
-            sign = -1 if k % 2 else 1
-            for a in out.coeffs:
-                out.coeffs[a] = out.coeffs[a] + sign * term.coeffs[a]
-        for a in out.coeffs:
-            out.coeffs[a] = out.coeffs[a] / c0
-        return out
+        u = self._map(lambda a: self.coeffs[a] / c0 if any(a) else 0.0 + 0.0j)
+        out = u._series(lambda k, c: (-1 if k % 2 else 1) * c)
+        return out._map(lambda a: out.coeffs[a] / c0)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
@@ -170,21 +181,10 @@ class Jet:
     __pow__ = integer_power
 
     def exp(self):
-        c0 = self.value()
-        u = self._like()
-        for a in u.coeffs:
-            u.coeffs[a] = self.coeffs[a]
-        u.coeffs[(0,) * self.nvars] = 0.0 + 0.0j
-        out = Jet.constant(self.nvars, self.degree, 1.0, self.base)
-        term = Jet.constant(self.nvars, self.degree, 1.0, self.base)
-        for k in range(1, self.degree + 1):
-            term = term * u
-            for a in out.coeffs:
-                out.coeffs[a] = out.coeffs[a] + term.coeffs[a] / math.factorial(k)
-        scale = np.exp(c0)
-        for a in out.coeffs:
-            out.coeffs[a] = out.coeffs[a] * scale
-        return out
+        # e^(c0 + u) = e^c0 sum u^k / k!, u = self - c0
+        u = self._map(lambda a: self.coeffs[a] if any(a) else 0.0 + 0.0j)
+        out = u._series(lambda k, c: c / math.factorial(k))
+        return out * np.exp(self.value())
 
     # -- calculus -----------------------------------------------------------
 
@@ -202,23 +202,14 @@ class Jet:
         return out
 
     def truncate(self, degree):
-        out = Jet(self.nvars, degree, self.base)
-        for a in out.coeffs:
-            out.coeffs[a] = self.coeffs.get(a, 0.0 + 0.0j)
-        return out
+        return self._map(lambda a: self.coeffs.get(a, 0.0 + 0.0j), degree)
 
     def real_part(self):
         """Jet of Re f; valid because the base point is real."""
-        out = self._like()
-        for a, v in self.coeffs.items():
-            out.coeffs[a] = complex(v.real, 0.0)
-        return out
+        return self._map(lambda a: complex(self.coeffs[a].real, 0.0))
 
     def imag_part(self):
-        out = self._like()
-        for a, v in self.coeffs.items():
-            out.coeffs[a] = complex(v.imag, 0.0)
-        return out
+        return self._map(lambda a: complex(self.coeffs[a].imag, 0.0))
 
     def eval_offset(self, t):
         """Evaluate the truncated polynomial at base + t."""
@@ -277,11 +268,8 @@ def compose_jet(outer: Jet, arg_jets) -> Jet:
     for i, aj in enumerate(arg_jets):
         if aj.nvars != pvars:
             raise ValueError("argument jets must share one parameter set")
-        s = Jet(pvars, deg, aj.base)
-        for a in s.coeffs:
-            s.coeffs[a] = aj.coeffs.get(a, 0.0 + 0.0j)
-        s.coeffs[zero] = s.coeffs[zero] - outer.base[i]
-        if abs(s.coeffs[zero]) > 1e-9 * max(1.0, abs(outer.base[i])):
+        s = aj.truncate(deg)
+        if abs(s.value() - outer.base[i]) > 1e-9 * max(1.0, abs(outer.base[i])):
             raise ValueError("argument jet value does not match the base point")
         s.coeffs[zero] = 0.0 + 0.0j
         shifted.append(s)

@@ -253,8 +253,7 @@ def build_quasimode(p: SymbolExpr, w0, N: int, delta: float,
 
     phase_deg = 2 * (N + 1)
     Dq = phase_deg + N + 3
-    qjet = eval_jet(p, w0, Dq)
-    qjet.coeffs[(0, 0)] -= z
+    qjet = eval_jet(p, w0, Dq) - Jet.constant(2, Dq, z)
     q_xi0 = qjet.derivative_value((0, 1))
 
     # phase recursion: kill the u^m coefficient of q(x0+u, phi'(x0+u))
@@ -288,61 +287,32 @@ def build_quasimode(p: SymbolExpr, w0, N: int, delta: float,
     return qm
 
 
-def _phase_prime_jet(phase, w0, deg):
+def _phase_prime_jet(phase, deg):
     """Jet in u of phi'(x0 + u) to the given degree."""
-    out = Jet(1, deg)
-    for k in range(1, len(phase)):
-        if k - 1 <= deg:
-            out.coeffs[(k - 1,)] = out.coeffs.get((k - 1,), 0.0) + k * phase[k]
-    out.coeffs[(0,)] = complex(out.coeffs.get((0,), 0.0))
-    return out
+    return Jet.from_terms(1, deg, [((k - 1,), k * phase[k])
+                                   for k in range(1, len(phase))])
 
 
 def _eikonal_jet(qjet, phase, w0, deg):
     """Jet in u of q(x0 + u, phi'(x0 + u))."""
-    xj = Jet(1, deg)
-    xj.coeffs[(0,)] = w0[0]
-    if deg >= 1:
-        xj.coeffs[(1,)] = 1.0
-    pj = _phase_prime_jet(phase, w0, deg)
+    xj = Jet.from_terms(1, deg, [((0,), w0[0]), ((1,), 1.0)])
+    pj = _phase_prime_jet(phase, deg)
     return compose_jet(qjet.truncate(min(qjet.degree, deg + 1)), [xj, pj])
 
 
 def _ratio_jet(phase, deg):
     """2-var jet in (u, s) of rho(u, s) = (phi(x0+u+s) - phi(x0+u)) / s."""
-    out = Jet(2, deg)
-    for k in range(1, len(phase)):
-        c = phase[k]
-        if c == 0:
-            continue
-        # ((u+s)^k - u^k)/s = sum_{j<k} C(k,j) u^j s^{k-1-j}
-        for j in range(k):
-            key = (j, k - 1 - j)
-            if sum(key) <= deg:
-                out.coeffs[key] = out.coeffs.get(key, 0.0) + math.comb(k, j) * c
-    return out
-
-
-def _sv_jet(deg, which):
-    """2-var jets of u + s/2 (which=half) or u + s (which=full)."""
-    out = Jet(2, deg)
-    if deg >= 1:
-        out.coeffs[(1, 0)] = 1.0
-        out.coeffs[(0, 1)] = 0.5 if which == "half" else 1.0
-    return out
+    # ((u+s)^k - u^k)/s = sum_{j<k} C(k,j) u^j s^{k-1-j}
+    return Jet.from_terms(2, deg, [((j, k - 1 - j), math.comb(k, j) * phase[k])
+                                   for k in range(1, len(phase)) if phase[k] != 0
+                                   for j in range(k)])
 
 
 def _amp_shift_jet(coeffs, deg):
     """2-var jet of a(x0 + u + s) from 1-var coefficients in u."""
-    out = Jet(2, deg)
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for j in range(k + 1):
-            key = (j, k - j)
-            if sum(key) <= deg:
-                out.coeffs[key] = out.coeffs.get(key, 0.0) + math.comb(k, j) * c
-    return out
+    return Jet.from_terms(2, deg, [((j, k - j), math.comb(k, j) * c)
+                                   for k, c in enumerate(coeffs) if c != 0
+                                   for j in range(k + 1)])
 
 
 def _weyl_term_jet(qjet, phase, w0, m, amp_coeffs, deg):
@@ -351,16 +321,13 @@ def _weyl_term_jet(qjet, phase, w0, m, amp_coeffs, deg):
     dq = qjet
     for _ in range(m):
         dq = dq.partial(1)
-    xarg = _sv_jet(deg2, "half")
-    xarg.coeffs[(0, 0)] = w0[0]
+    xarg = Jet.from_terms(2, deg2, [((0, 0), w0[0]), ((1, 0), 1.0), ((0, 1), 0.5)])
     rho = _ratio_jet(phase, deg2)
     comp = compose_jet(dq.truncate(min(dq.degree, deg2 + 1)), [xarg, rho])
     total = comp * _amp_shift_jet(amp_coeffs, deg2)
-    out = Jet(1, deg)
     fact = math.factorial(m)
-    for k in range(deg + 1):
-        out.coeffs[(k,)] = total.coefficient((k, m)) * fact
-    return out
+    return Jet.from_terms(1, deg, [((k,), total.coefficient((k, m)) * fact)
+                                   for k in range(deg + 1)])
 
 
 def _transport_rhs(qjet, p1jet, phase, amps, w0, ell, deg):
@@ -386,16 +353,9 @@ def _solve_transport(qjet, p1jet, phase, w0, rhs, deg, a0=1.0):
     g = q_xi(x, phi'), w = (1/2) dg/du, p1c = p1(x, phi'); the standard
     transport with the i p_1 hook after multiplying through by i.
     """
-    dq = qjet.partial(1)
-    xj = Jet(1, deg + 1)
-    xj.coeffs[(0,)] = w0[0]
-    xj.coeffs[(1,)] = 1.0
-    pj = _phase_prime_jet(phase, w0, deg + 1)
-    g = compose_jet(dq.truncate(min(dq.degree, deg + 2)), [xj, pj])
+    g = _eikonal_jet(qjet.partial(1), phase, w0, deg + 1)
     wj = g.partial(0) * 0.5
-    p1c = None
-    if p1jet is not None:
-        p1c = compose_jet(p1jet.truncate(min(p1jet.degree, deg + 1)), [xj, pj])
+    p1c = None if p1jet is None else _eikonal_jet(p1jet, phase, w0, deg + 1)
     g0 = g.coefficient((0,))
     if abs(g0) < 1e-14:
         raise PspecError("transport degenerate: q_xi vanishes at w0")

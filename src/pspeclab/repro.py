@@ -42,7 +42,8 @@ RATIONAL_REMARK = "(xi1+1i*x1)^2/(1+x1^2+xi1^2)"
 # shared experiments
 
 def rotated_oscillator_spectrum(M=200, h=0.05, count=10):
-    """Lowest accepted eigenvalues against (2k+1) h + 1/4."""
+    """Largest error of the lowest accepted eigenvalues against
+    (2k+1) h + 1/4."""
     p = parse_symbol(ROTATED, 1)
     rep = eigendecompose(weyl_quantize_poly(p, HermiteBasis(M), h))
     acc = rep.accepted_eigenvalues
@@ -50,7 +51,7 @@ def rotated_oscillator_spectrum(M=200, h=0.05, count=10):
     expect = (2 * np.arange(count) + 1) * h + 0.25
     err = float(np.abs(np.sort(low.real) - expect).max()
                 + np.abs(low.imag).max())
-    return err, low
+    return err
 
 
 def rotated_oscillator_action(z):
@@ -146,7 +147,8 @@ def conjugation_identity_experiment(M=60, h=1.0):
 
 
 def davies_experiment(M=24, h=0.1):
-    """Davies operator: dissipativity plus the 1-D tensor oracle."""
+    """Davies operator: dissipativity plus the 1-D tensor oracle.
+    Returns (max Im of the accepted spectrum, oracle error)."""
     D = dissipative_build(parse_symbol("xi1^2+xi2^2+x1^2", 2),
                           parse_symbol("x2^2", 2), HermiteBasis(M, n=2), h)
     spec2 = eigendecompose(D.P)
@@ -159,7 +161,7 @@ def davies_experiment(M=24, h=0.1):
             + eigendecompose(A2).accepted_eigenvalues[None, :]).ravel()
     oracle_err = float(max(np.abs(sums - lam).min() for lam in acc2))
     max_im = float(acc2.imag.max())
-    return D, max_im, oracle_err
+    return max_im, oracle_err
 
 
 def wick_positivity_experiment(count=50, M=40, h=0.1, seed=17):
@@ -231,7 +233,7 @@ def _row(name, measured, expected, ok):
 
 
 def _spectrum():
-    err, _ = rotated_oscillator_spectrum()
+    err = rotated_oscillator_spectrum()
     return [_row("rotated-oscillator spectrum (2k+1)h + 1/4",
                  f"{err:.2e}", "err <= 1e-6", err <= 1e-6)]
 
@@ -326,7 +328,7 @@ def _wick_positivity(count=10):
 
 
 def _davies():
-    _, max_im, oracle = davies_experiment()
+    max_im, oracle = davies_experiment()
     return [_row("Davies spectrum: dissipative + tensor oracle",
                  f"Im<={max_im:.1e}, err={oracle:.1e}",
                  "Im <= 1e-8, err <= 1e-5", max_im <= 1e-8 and oracle <= 1e-5)]

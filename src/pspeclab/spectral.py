@@ -462,14 +462,17 @@ def _marching_squares(xs, ys, field, level):
             if len(ks) == 2:
                 segments.append((crossings[ks[0]], crossings[ks[1]]))
             elif len(ks) == 4:
-                # saddle: disambiguate with the cell-center value
+                # saddle: the corners on the cell-center value's side of
+                # the level join across the cell, so the segments cut off
+                # the other two corners (corner k sits between edges k-1
+                # and k)
                 center = sum(v) / 4.0
                 if (center > level) == (v[0] > level):
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
-                else:
                     segments.append((crossings[0], crossings[1]))
                     segments.append((crossings[2], crossings[3]))
+                else:
+                    segments.append((crossings[0], crossings[3]))
+                    segments.append((crossings[1], crossings[2]))
     return segments
 
 

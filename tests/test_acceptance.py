@@ -9,6 +9,7 @@ also checks is declared once, as an entry of the `_CHECKS` table in
 import time
 
 import numpy as np
+import pytest
 
 from pspeclab import repro
 from pspeclab.classical import sign_sum
@@ -202,3 +203,12 @@ def test_criterion_14_determinism_and_speed():
                    f"{speedup:.1f}x >= 5; fast-vs-SVD on 100 cases "
                    f"{worst:.1e} <= 1e-8; grid |difference| "
                    f"{agreement:.1e} <= 1e-8")
+
+
+@pytest.mark.parametrize("key", [key for key, (tag, _) in repro._CHECKS.items()
+                                 if tag is None])
+def test_suite_only_checks_pass(key):
+    # the `repro invariants` rows that no criterion declares
+    assert key in repro._SUITES["invariants"]
+    rows = repro._CHECKS[key][1]()
+    assert rows and all(r["ok"] for r in rows), rows

@@ -495,6 +495,77 @@ def test_scaling_model_and_L_are_used(tmp_path):
     assert boxed["samples"] != json.loads(default)["samples"]
 
 
+def _run_checked(out, command, cfg):
+    """Run `command` on cfg into out; assert exit 0 and that every
+    checksum in the manifest matches its artifact."""
+    path = out.parent / f"{out.name}.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", str(path), "--out", str(out)]) == 0
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert artifacts
+    for name, digest in artifacts.items():
+        assert sha256_file(out / name) == digest
+    return out
+
+
+def test_quantize_schrodinger_path(tmp_path):
+    out = _run_checked(tmp_path / "s", "quantize",
+                       {"symbol": "xi1^2+x1^2", "h": 0.1, "M": 64,
+                        "path": "schrodinger", "L": 6.0})
+    info = json.loads((out / "operator.json").read_text())
+    assert info["provenance"] == "schrodinger"
+    assert info["size"] == 64
+    assert info["hermiticity_defect"] <= 1e-12
+
+
+def test_scaling_resolvent_decay_and_rational_experiments(tmp_path):
+    from pspeclab.repro import rational_resolvent_experiment, \
+        resolvent_decay_experiment
+
+    h_list = [0.2, 0.1, 0.07, 0.05]
+    decay = json.loads((_run_checked(
+        tmp_path / "decay", "scaling",
+        {"experiment": "resolvent-decay", "symbol": ROT, "z": [2.0, 1.0],
+         "M": 60, "h_list": h_list}) / "scaling.json").read_text())
+    fit, samples = resolvent_decay_experiment(parse_symbol(ROT, 1), 2.0 + 1.0j,
+                                              h_list, M=60)
+    assert decay["model"] == "exponential"
+    assert decay["exponent"] == fit.exponent > 0
+    assert decay["samples"] == [list(s) for s in samples]
+
+    rational = json.loads((_run_checked(
+        tmp_path / "rational", "scaling",
+        {"experiment": "rational", "h_list": h_list}) / "scaling.json"
+    ).read_text())
+    fit, samples = rational_resolvent_experiment(h_list)
+    assert rational["model"] == "power"
+    assert rational["exponent"] == fit.exponent > 0
+    assert rational["samples"] == [list(s) for s in samples]
+
+
+def test_classify_with_sigma_infinity_and_a_cone(tmp_path):
+    from pspeclab.classical import sample_symbol_range
+
+    symbol = "(xi1+1i*x1)^2/(1+x1^2+xi1^2)"
+    cone = {"z0": [0.0, 0.0], "direction": 0.0, "aperture": 0.5}
+    out = _run_checked(tmp_path / "c", "classify",
+                       {"symbol": symbol, "box": [-3, 3, -3, 3], "res": 40,
+                        "sigma_radii": [10, 100, 1000], "cone": cone})
+    atlas = json.loads((out / "atlas.json").read_text())
+    # p tends to e^{2 i theta} at phase-space infinity: the limit set is
+    # the unit circle, reached to R^2 / (1 + R^2) at R = 1000
+    sig = atlas["sigma_infinity"]
+    assert sig["radii"] == [10.0, 100.0, 1000.0]
+    assert sig["unbounded_count"] == 0
+    mods = np.abs([complex(c["re"], c["im"]) for c in sig["candidates"]])
+    assert mods.size > 0 and np.abs(mods - 1.0).max() < 1e-5
+    (test,) = atlas["cone_tests"]
+    ref = sample_symbol_range(parse_symbol(symbol, 1),
+                              [(-3, 3), (-3, 3)], 40).cone_test(0.0, 0.0, 0.5)
+    assert (test["n_hits"], test["empty"]) == (ref.n_hits, ref.empty)
+    assert test["n_hits"] > 0
+
+
 def test_conjugate_and_fbi_commands(tmp_path):
     cfg = {"symbol": "xi1^2+xi1*1i+x1^2", "h": 1.0, "M": 40,
            "weight": "-x1/2", "eps": 1.0, "z_list": [[2.0, 1.0]]}

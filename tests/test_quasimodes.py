@@ -248,6 +248,33 @@ def test_subprincipal_hook_changes_amplitude():
     assert np.allclose(qm0.phase, qm1.phase)
 
 
+@pytest.mark.parametrize("p1, N, delta, hs, slope", [
+    ("0.3", 2, 0.5, [0.02, 0.014, 0.01, 0.007, 0.005], 2.7),
+    ("0.3i", 2, 0.5, [0.02, 0.014, 0.01, 0.007, 0.005], 2.7),
+    # p1 depends on xi, so its Weyl terms T_m (m >= 1) enter the transport
+    # right-hand sides; at delta = 0.4 the order-4 phase stays positive
+    ("3*xi1", 4, 0.4, [0.01, 0.007, 0.005, 0.0035, 0.0025], 5.0),
+], ids=["real-constant", "imaginary-constant", "xi-dependent"])
+def test_subprincipal_terms_keep_the_residual_order(p1, N, delta, hs, slope):
+    # the beam for Op^w(p + h p1), against that operator: with p1 in the
+    # transport hierarchy the residual keeps its order in h; without it
+    # the O(h) term h p1 u is left over and the slope falls to about 1
+    sub = parse_symbol(p1, 1)
+    slopes = []
+    for hook in (sub, None):
+        qm = build_quasimode(ROT, [1.0, 1.0], N, delta, subprincipal=hook)
+        samples = []
+        for h in hs:
+            grid = _grid_for_beam(qm, h)
+            u = qm.sample(grid.points_1d(), h)
+            r = (grid.apply_weyl(ROT, h, u) + h * grid.apply_weyl(sub, h, u)
+                 - qm.z * u)
+            samples.append((h, np.linalg.norm(r) / np.linalg.norm(u)))
+        slopes.append(scaling_fit(samples, "power").exponent)
+    assert slopes[0] >= slope
+    assert slopes[1] <= 1.6
+
+
 def test_condition_psi_violating_point_reports_failure():
     # xi - i x^3 (odd power): the bracket -3x^2 vanishes at the origin,
     # so the standard builder reports the designated error there and

@@ -527,6 +527,31 @@ def test_contour_chaining_keeps_the_bytes():
             assert pl.points.tobytes() == points.tobytes()
 
 
+def test_contour_saddle_cells_follow_the_cell_center():
+    # one cell with corners (0,0) = 1, (1,0) = 0, (1,1) = 1, (0,1) = 0:
+    # the bilinear interpolant is 1/2 + 2 (x - 1/2)(y - 1/2), a saddle
+    # with value 1/2 at the center.  Below it the high corners (0,0) and
+    # (1,1) join across the cell and the isolines cut off the low
+    # corners; at and above it they cut off the high corners.
+    xs = ys = np.array([0.0, 1.0])
+    field = np.array([[1.0, 0.0], [0.0, 1.0]])
+    expected = {
+        0.4: {((0.6, 0.0), (1.0, 0.4)), ((0.4, 1.0), (0.0, 0.6))},
+        0.5: {((0.5, 0.0), (0.0, 0.5)), ((1.0, 0.5), (0.5, 1.0))},
+        0.6: {((0.4, 0.0), (0.0, 0.4)), ((1.0, 0.6), (0.6, 1.0))},
+    }
+    for level, segments in expected.items():
+        got = spectral._marching_squares(xs, ys, field, level)
+        rounded = {tuple(tuple(round(c, 12) for c in p) for p in seg)
+                   for seg in got}
+        assert rounded == segments, level
+        for (a, b) in got:
+            # the segment's midpoint lies in the cut-off corner's region
+            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+            f_mid = 0.5 + 2 * (mid[0] - 0.5) * (mid[1] - 0.5)
+            assert (f_mid > level) != (0.5 > level), (level, a, b)
+
+
 def test_contour_outside_range_empty():
     re = np.linspace(0, 1, 11)
     im = np.linspace(0, 1, 11)

@@ -14,7 +14,7 @@ from pspeclab.quantize import (
     weyl_quantize_grid,
     weyl_quantize_poly,
 )
-from pspeclab.spectral import eigendecompose
+from pspeclab.spectral import eigendecompose, resolvent_norm
 from pspeclab.symbols import parse_symbol
 from pspeclab.weights import (
     boundary_exclusion_experiment,
@@ -84,6 +84,22 @@ def test_escape_weight_evaluates_and_differentiates():
         assert g[slot] == pytest.approx(float(fd), abs=1e-5)
 
 
+def test_escape_weight_gradient_away_from_the_centers():
+    # inside a bump but off its center the gradient has the radial
+    # B'(t) term as well; central differences of G check both terms
+    p = parse_symbol("xi1 + 1i*(x1^2 - 1)", 1)
+    w = escape_weight(p, 0.0, BOX1, T0=5.0)
+    rng = np.random.default_rng(3)
+    eps = 1e-6
+    for c, r in zip(w.centers, w.radii):
+        for _ in range(20):
+            pt = c + rng.uniform(-0.7, 0.7, size=2) * r
+            assert np.linalg.norm(pt - c) > 1e-3 * r
+            fd = [(w(*(pt + eps * e)) - w(*(pt - eps * e))) / (2 * eps)
+                  for e in np.eye(2)]
+            assert np.abs(w.gradient(pt) - np.array(fd, dtype=float)).max() < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # conjugation
 
@@ -133,6 +149,25 @@ def test_conjugation_cond_cap():
     with pytest.raises(ConditioningError, match="too strong"):
         conjugate_operator(P, parse_symbol("-x1/2", 1), eps=1.0, h=h,
                            cond_cap=1e12)
+
+
+def test_conjugation_with_a_non_hermitian_weight():
+    # G = i x gives an anti-Hermitian exponent: E is unitary, cond(E) = 1
+    # and sigma_min(P_eps - z) = sigma_min(P - z)
+    h = 0.1
+    P = weyl_quantize_poly(ROT, HermiteBasis(40), h)
+    z_list = [0.5 + 0.2j, 1.0 + 0.1j]
+    _, rep = conjugate_operator(P, parse_symbol("1i*x1", 1), eps=0.05, h=h,
+                                z_list=z_list)
+    assert rep.cond == pytest.approx(1.0, rel=0, abs=1e-12)
+    for z in z_list:
+        ref = resolvent_norm(P, z, method="svd")
+        assert rep.sigma_min[z] == pytest.approx(ref, rel=1e-10)
+    # a non-Hermitian exponent that is not anti-Hermitian either: E is
+    # far from unitary and the cap applies to its computed condition
+    with pytest.raises(ConditioningError, match="too strong"):
+        conjugate_operator(P, parse_symbol("x1 + 1i*xi1", 1), eps=2.0, h=h,
+                           cond_cap=1e6)
 
 
 def test_conjugation_eps_window_check():
