@@ -427,7 +427,8 @@ def cmd_quasimode(args, cfg, run):
                               model=cfg["model"])
     io.write_json(run.path("residuals.json"),
                   {"sweep": rec["sweep"], "model": fit.model,
-                   "exponent": fit.exponent, "r_squared": fit.r_squared})
+                   "exponent": fit.exponent, "r_squared": fit.r_squared,
+                   "phase_positivity": rec["phase_positivity"]})
     qm = rec["quasimode"]
     h_min = min(cfg["h_list"])
     x = _grid_for_beam(qm, h_min).points_1d()

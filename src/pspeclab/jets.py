@@ -184,7 +184,11 @@ class Jet:
         # e^(c0 + u) = e^c0 sum u^k / k!, u = self - c0
         u = self._map(lambda a: self.coeffs[a] if any(a) else 0.0 + 0.0j)
         out = u._series(lambda k, c: c / math.factorial(k))
-        return out * np.exp(self.value())
+        with np.errstate(over="ignore", invalid="ignore"):
+            e0 = np.exp(self.value())
+        if not np.isfinite(e0):
+            raise NonFiniteError(f"jet exponential overflowed at {self.base}")
+        return out * e0
 
     # -- calculus -----------------------------------------------------------
 
@@ -233,8 +237,9 @@ class Jet:
 def eval_jet(p: SymbolExpr, w, degree: int) -> Jet:
     """Taylor-expand a symbol at the point w up to total degree.
 
-    Raises NonFiniteError when the value at w is not finite, and
-    JetDivisionError when a denominator vanishes at w."""
+    Raises NonFiniteError when the value at w, or an exponential on the
+    way to it, is not finite, and JetDivisionError when a denominator
+    vanishes at w."""
     w = np.asarray(w, dtype=float)
     nvars = 2 * p.n
     if w.shape != (nvars,):

@@ -448,7 +448,9 @@ def residual_sweep(p: SymbolExpr, w0, N: int, delta: float, h_list,
     other symbol is quantized to the dense grid matrix first
     (weyl_quantize_grid).  path="hermite" quantizes the polynomial on
     the Hermite basis (weyl_quantize_poly) and applies it to the
-    beam's Hermite coefficients.  Returns (ScalingFit, records).  With
+    beam's Hermite coefficients.  Returns (ScalingFit, records); the
+    records carry the beam's sampled phase-positivity check, which the
+    fit does not read: a beam that fails it still yields a slope.  With
     refine_check=True each h is recomputed on a half-resolution grid
     and a >10% disagreement raises GridResolutionError.
     """
@@ -467,7 +469,8 @@ def residual_sweep(p: SymbolExpr, w0, N: int, delta: float, h_list,
                         "M": grid.M, "L": grid.L})
         qm.records.setdefault("residuals", {})[float(h)] = r
     fit = scaling_fit([(rec["h"], rec["residual"]) for rec in records], model)
-    return fit, {"quasimode": qm, "sweep": records}
+    return fit, {"quasimode": qm, "sweep": records,
+                 "phase_positivity": qm.records["phase_positivity"]}
 
 
 def localization_report(qm: Quasimode, h: float, L: float = None,

@@ -8,7 +8,11 @@ whose largest eigenvalue is sigma_min^-2, and stops a shift once the Ritz
 residual of its top Ritz value is at most SIGMA_TOL times that value.  A
 grid shares one complex Schur factor T of P = Q T Q* (Q is never
 formed), and all its shifts advance together at O(M^2) per step each, instead of the O(M^3) of a full
-SVD; a single shift may use an LU factor.
+SVD; a single shift may use an LU factor.  An exactly tridiagonal P (the
+Hermite matrix of the rotated oscillator, whose x^2 and xi^2 terms cancel
+off the three diagonals) skips both: each shift gets its own
+O(M) tridiagonal LU factor, and a block of shifts is solved as one
+block-diagonal tridiagonal system.
 """
 
 from __future__ import annotations
@@ -99,6 +103,7 @@ SIGMA_TOL = 1e-10        # relative Ritz residual that stops inverse Lanczos
 SIGMA_MAX_ITER = 50
 _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
+_STACK_ENTRIES = 1 << 15  # the same cap when each shift keeps its own factor
 
 
 def _shifted(A, z):
@@ -189,15 +194,112 @@ def _lu_solves(A, z):
     B = _shifted(A, complex(z))
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
     lu, piv, _ = getrf(B, overwrite_a=True)
-    return lambda X, zs: getrs(lu, piv, getrs(lu, piv, X)[0], trans=2)[0]
+    return lambda X, rows: getrs(lu, piv, getrs(lu, piv, X)[0], trans=2)[0]
 
 
-def _sigma_min_shifts(A, zs, solve, strict=False):
+def _tridiagonal_bands(A):
+    """The sub-, main and super-diagonal of A when every other entry is
+    an exact zero and the order is at least 3 (LAPACK's gttrf bound for
+    the stacked system), else None.  Counting the non-zeros makes no
+    M x M temporary."""
+    if A.shape[0] < 3:
+        return None
+    bands = [np.diagonal(A, k) for k in (-1, 0, 1)]
+    if np.count_nonzero(A) != sum(map(np.count_nonzero, bands)):
+        return None
+    return bands
+
+
+class _TridiagonalFactor:
+    """Block factor (see _sigma_min_shifts) of an exactly tridiagonal A.
+
+    A block of n shifts is stacked into one block-diagonal tridiagonal
+    system of order n M, the couplings between blocks exact zeros, and
+    factored by one LAPACK gttrf call: LU with partial pivoting, whose
+    growth factor on a tridiagonal matrix is at most 2 (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 9.5).  A zero
+    coupling never wins a pivot, so each block is the factor of its own
+    A - z: finished shifts leave by dropping their blocks, and the pivot
+    indices of the later blocks move up with them.  Each solve pair is
+    one gttrs call with trans='C' and one with 'N' on the shifts still
+    active.  A shift with a zero pivot (z on the spectrum) gets a unit
+    diagonal and no couplings in the stacked system, since its inf times
+    a zero coupling would be nan in its neighbours, and its solves read
+    nan.  seconds sums the time spent in factoring."""
+
+    def __init__(self, bands):
+        self.bands = [np.asarray(b, dtype=complex) for b in bands]
+        self.seconds = 0.0
+
+    def __call__(self, zs):
+        t0 = time.perf_counter()
+        sub, diag, sup = self.bands
+        n, M = zs.size, diag.size
+        F = np.zeros((4, n, M), complex)       # dl, d, du, du2 of each block
+        F[0, :, :-1], F[2, :, :-1] = sub, sup
+        np.subtract(diag, zs[:, None], out=F[1])
+        flat = F.reshape(4, -1)
+        _, _, _, du2, ipiv, _ = scipy.linalg.lapack.zgttrf(
+            flat[0, :-1], flat[1], flat[2, :-1],
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        flat[3, :-2] = du2
+        ipiv = ipiv.reshape(n, M)
+        bad = (F[1] == 0).any(axis=1)
+        F[:, bad] = 0
+        F[1, bad] = 1
+        kept = np.arange(n)
+        self.seconds += time.perf_counter() - t0
+
+        def solve(X, rows):
+            nonlocal F, ipiv, kept
+            k = rows.size
+            if k < kept.size:                  # compact in place
+                keep = np.isin(kept, rows)
+                for plane in F:                # one (k, M) copy at a time
+                    plane[:k] = plane[keep]
+                # pivots count from the top of the stack
+                moved = np.flatnonzero(keep) - np.arange(k)
+                ipiv[:k] = ipiv[keep] - M * moved[:, None]
+                F, ipiv, kept = F[:, :k], ipiv[:k], rows
+            dl, d, du, du2 = (f.ravel() for f in F)
+            stacked = (dl[:-1], d, du[:-1], du2[:-2], ipiv.ravel())
+            b = X.T.copy().reshape(-1, 1)      # shift after shift
+            gttrs = scipy.linalg.lapack.zgttrs
+            b = gttrs(*stacked, b, trans="C", overwrite_b=1)[0]
+            b = gttrs(*stacked, b, trans="N", overwrite_b=1)[0]
+            Y = b.reshape(k, M)
+            Y[bad[rows]] = np.nan
+            return np.ascontiguousarray(Y.T)
+
+        return solve
+
+
+def _factor(A, z=None, schur=False):
+    """(kind, block factor, entries) for _sigma_min_shifts on A: the
+    stacked tridiagonal LU when A is exactly tridiagonal and schur is not
+    set; otherwise the shared Schur factor, or without schur and for the
+    one shift z, the LU factor of A - z.  entries caps the blocks."""
+    bands = None if schur else _tridiagonal_bands(A)
+    if bands is not None:
+        return ("tridiagonal", _TridiagonalFactor(bands),
+                min(_STACK_ENTRIES, _SHIFT_ENTRIES))
+    if z is not None and not schur:
+        solve = _lu_solves(A, z)
+        return "lu", lambda zs: solve, _SHIFT_ENTRIES
+    solves = _schur_solves(A)
+    return ("schur", lambda zs: lambda X, rows: solves(X.copy(), zs[rows]),
+            _SHIFT_ENTRIES)
+
+
+def _sigma_min_shifts(A, zs, factor, entries, strict=False):
     """sigma_min(A - z) for every shift z in zs by inverse Lanczos.
 
-    solve(X, zs) maps column j of X to B_j x_j, with B_j = (C_j^H C_j)^{-1}
-    and C_j unitarily similar to A - z_j or its adjoint, may overwrite X
-    and returns a C-ordered array (any single column is).  Blocks of shifts advance together from one seed vector,
+    Blocks of at most entries // M shifts advance together.  factor(zb)
+    prepares a block zb and returns its solve(X, rows): column j of X,
+    for the shift zb[rows[j]], becomes B_j x_j, with B_j = (C_j^H C_j)^{-1}
+    and C_j unitarily similar to A - z_j or its adjoint, in a new C-ordered
+    array; X is left alone, and rows only loses entries from call to
+    call.  The shifts of a block start from one seed vector,
     each running the three-term Lanczos recurrence on its own B_j.  After
     step k a shift's largest Ritz value theta (top eigenvalue of its k x k
     tridiagonal, unit eigenvector y) has residual ||B_j v - theta v|| =
@@ -214,15 +316,16 @@ def _sigma_min_shifts(A, zs, solve, strict=False):
     steps = np.full(zs.size, SIGMA_MAX_ITER)
     rng = np.random.default_rng(2024)
     seed = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    width = max(1, _SHIFT_ENTRIES // M)
+    width = max(1, entries // M)
     with np.errstate(all="ignore"):
         for lo in range(0, zs.size, width):
             active = np.arange(lo, min(lo + width, zs.size))
+            solve = factor(zs[active])
             Q = np.repeat(seed[:, None] / np.linalg.norm(seed), active.size, 1)
             Qprev = np.zeros_like(Q)         # beta_0 = ab[:, 1, -1] = 0
             ab = np.zeros((active.size, 2, SIGMA_MAX_ITER))   # alpha, beta
             for k in range(SIGMA_MAX_ITER):
-                W = solve(Q.copy(), zs[active])
+                W = solve(Q, active - lo)
                 W -= np.multiply(Qprev, ab[:, 1, k - 1], out=Qprev)  # spent
                 ab[:, 0, k] = alpha = _real_dots(Q, W)
                 W -= np.multiply(Q, alpha, out=Qprev)
@@ -274,8 +377,9 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     """sigma_min(P - z I) = 1 / ||(P - z)^{-1}||.
 
     method "svd" is the reference path.  The others run inverse
-    Lanczos: "auto" and "lu" on an LU factor of P - z, falling back
-    to the SVD on failure; "schur" on a complex Schur factor, raising
+    Lanczos: "auto" and "lu" on an LU factor of P - z (the O(M)
+    tridiagonal one when P is exactly tridiagonal), falling back to the
+    SVD on failure; "schur" on a complex Schur factor, raising
     ConvergenceError instead.  For one z the LU factor costs a fraction
     of the Schur form.
     """
@@ -286,8 +390,9 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     with single_thread_below(A.shape[0]):
         if method == "svd":
             return _sigma_min_svd(A, z)
-        solve = _schur_solves(A) if method == "schur" else _lu_solves(A, z)
-        sigma = _sigma_min_shifts(A, [z], solve, strict=method == "schur")[0]
+        _, factor, entries = _factor(A, z, schur=method == "schur")
+        sigma = _sigma_min_shifts(A, [z], factor, entries,
+                                  strict=method == "schur")[0]
     return float(sigma[0])
 
 
@@ -314,9 +419,11 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     """sigma_min(P - z) over a rectangular z-grid.
 
     rectangle = (re_min, re_max, im_min, im_max); shape = (n_re, n_im).
-    One Schur factorization serves every node; the nodes advance
-    together through the blocked inverse Lanczos, and nodes that fail
-    it fall back to a full SVD (count logged in timing).  The step
+    One Schur factorization serves every node, or, for an exactly
+    tridiagonal P, one tridiagonal LU factor per node (timing["factor"]
+    names which, None with force_svd); the nodes advance together
+    through the blocked inverse Lanczos, and nodes that fail it fall
+    back to a full SVD (count logged in timing).  The step
     histogram is timing["sigma_steps"]: entry k counts the nodes that
     stopped after k + 1 steps (empty with force_svd).  force_svd takes
     the SVD at every node.  threads is only recorded in timing:
@@ -336,22 +443,24 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
         floor = FLOOR_FACTOR * np.finfo(float).eps * max(P.norm(), 1e-300)
         t0 = time.perf_counter()
         if force_svd:
-            t1 = time.perf_counter()
+            kind, t_factor = None, 0.0
             sigma = np.array([_sigma_min_svd(A, z) for z in zs])
             failed, steps = [], np.zeros(0, int)
         else:
-            solve = _schur_solves(A)
-            t1 = time.perf_counter()
-            sigma, failed, steps = _sigma_min_shifts(A, zs, solve)
-        t_sweep = time.perf_counter() - t1
+            kind, factor, entries = _factor(A)
+            t_factor = time.perf_counter() - t0
+            sigma, failed, steps = _sigma_min_shifts(A, zs, factor, entries)
+            if kind == "tridiagonal":        # factored block by block
+                t_factor += factor.seconds
+        t_sweep = time.perf_counter() - t0 - t_factor
     sigma = sigma.reshape(n_re, n_im)
     floored = sigma < floor
     sigma = np.where(floored, floor, sigma)
-    timing = {"factorization_s": t1 - t0, "sweep_s": t_sweep,
+    timing = {"factorization_s": t_factor, "sweep_s": t_sweep,
               "nodes": n_re * n_im, "svd_fallbacks": len(failed),
               "sigma_steps": np.bincount(steps - 1).tolist(),
               "threads": threads, "blas_threads": blas_threads,
-              "force_svd": force_svd}
+              "factor": kind, "force_svd": force_svd}
     return ResolventGrid(re, im, sigma, floored, P.h, floor, timing)
 
 

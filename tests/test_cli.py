@@ -116,6 +116,21 @@ def test_psgrid_artifacts_and_determinism(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+@pytest.mark.parametrize("path, factor", [("hermite", "tridiagonal"),
+                                          ("grid", "schur")])
+def test_psgrid_manifest_records_the_factor(tmp_path, path, factor):
+    # the rotated oscillator's Hermite matrix is tridiagonal, its grid
+    # matrix is dense: the manifest says which factor served the sweep
+    cfg = {"symbol": "xi1^2+xi1*1i+x1^2", "h": 0.1, "M": 32, "path": path,
+           "L": 4.0, "rectangle": [0.0, 1.0, -0.4, 0.4], "shape": [4, 3]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["psgrid", "--config", str(tmp_path / "cfg.json"),
+                    "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["timing"]["factor"] == factor
+
+
 PSGRID_OK = {"symbol": "xi1^2+xi1*1i+x1^2", "h": 0.1, "M": 16,
              "rectangle": [0.0, 1.0, -0.4, 0.4], "shape": [4, 3]}
 
@@ -379,6 +394,15 @@ def test_quasimode_command(tmp_path):
                         "--out", str(out)]) == 0
         payload = json.loads((out / "residuals.json").read_text())
         assert 0.9 <= payload["exponent"] <= 1.5
+        assert payload["phase_positivity"]["ok"] is True
+    # an order-3 beam at delta = 0.5 fails the check, and the artifact says so
+    cfg_path.write_text(json.dumps({**cfg, "order": 3, "h_list": [0.02, 0.014,
+                                    0.01, 0.007, 0.005]}))
+    assert run_cli(["quasimode", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "order3")]) == 0
+    payload = json.loads((tmp_path / "order3" / "residuals.json").read_text())
+    assert payload["phase_positivity"]["ok"] is False
+    assert payload["phase_positivity"]["worst_margin"] < -0.1
 
 
 def _container_basis_header(path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pspeclab.errors import JetDivisionError
+from pspeclab.errors import JetDivisionError, NonFiniteError
 from pspeclab.jets import Jet, compose_jet, eval_jet, multi_indices
 from pspeclab.symbols import parse_symbol
 
@@ -127,3 +127,11 @@ def test_compose_jet_scalar_curve():
     assert comp.coefficient((0,)) == pytest.approx(1.0)
     assert comp.coefficient((1,)) == pytest.approx(2.0)
     assert comp.coefficient((2,)) == pytest.approx(1.0 + 2.0j)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", ["exp(x1)", "x1*exp(x1)", "exp(-exp(x1))"])
+def test_exp_overflow_is_a_non_finite_error_without_a_warning(text):
+    # e^800 overflows: the documented error, and no RuntimeWarning first
+    with pytest.raises(NonFiniteError):
+        eval_jet(parse_symbol(text, 1), [800.0, 0.5], 3)

@@ -101,6 +101,20 @@ def test_rotated_beam_order0_slope():
     assert 0.9 <= fit.exponent <= 1.5
 
 
+@pytest.mark.parametrize("N, delta, ok", [(3, 0.5, False), (2, 0.5, False),
+                                         (2, 0.3, True), (1, 0.5, True)])
+def test_residual_sweep_reports_the_phase_positivity_check(N, delta, ok):
+    # at delta = 0.5 the order-2 and order-3 phases turn negative in the
+    # cutoff ramp (worst margins -0.048 and -0.133); the sweep says so
+    hs = [0.02, 0.014, 0.01, 0.007, 0.005]
+    _, rec = residual_sweep(ROT, [1, 1], N, delta, hs)
+    check = rec["phase_positivity"]
+    assert check is rec["quasimode"].records["phase_positivity"]
+    assert check["ok"] is ok and (check["worst_margin"] >= 0) is ok
+    if N == 3:
+        assert check["worst_margin"] == pytest.approx(-0.1326, abs=1e-4)
+
+
 def test_rotated_beam_slopes_monotone_in_order():
     hs = [0.05, 0.035, 0.025, 0.018, 0.0125]
     slopes = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -128,14 +129,110 @@ def test_grid_nodes_match_single_shift(monkeypatch, shifts_per_block):
     if shifts_per_block:
         monkeypatch.setattr(spectral, "_SHIFT_ENTRIES", 64 * shifts_per_block)
     grid = pseudospectrum_grid(op, (0.3, 0.7, -0.2, 0.2), (5, 5))
+    assert grid.timing["factor"] == "tridiagonal"     # diagonal, in fact
     assert grid.timing["svd_fallbacks"] == 2
     for z, sigma in zip(grid.node_values().ravel(), grid.sigma.ravel()):
-        # the grid's own path for one shift: Schur, or the SVD on failure
+        # one shift on the Schur path, or the SVD where that fails
         try:
             ref = resolvent_norm(op, z, method="schur")
         except ConvergenceError:
             ref = resolvent_norm(op, z, method="svd")
         assert sigma == pytest.approx(max(ref, grid.floor), rel=1e-12)
+
+
+def test_tridiagonal_grid_matches_the_schur_path(monkeypatch):
+    # the rotated oscillator's Hermite matrix is exactly tridiagonal; its
+    # stacked LU agrees with the Schur path node by node, in stacks of 5
+    # shifts (compacted as shifts finish) as in one stack
+    op = weyl_quantize_poly(ROT, HermiteBasis(60), h=0.1)
+    assert spectral._tridiagonal_bands(op.matrix) is not None
+    rect, shape = (0.0, 1.0, -0.4, 0.4), (9, 7)
+    grid = pseudospectrum_grid(op, rect, shape)
+    monkeypatch.setattr(spectral, "_STACK_ENTRIES", 60 * 5)
+    small = pseudospectrum_grid(op, rect, shape)
+    assert grid.timing["factor"] == small.timing["factor"] == "tridiagonal"
+    assert grid.timing["svd_fallbacks"] == small.timing["svd_fallbacks"] == 0
+    for z, a, b in zip(grid.node_values().ravel(), grid.sigma.ravel(),
+                       small.sigma.ravel()):
+        ref = max(resolvent_norm(op, z, method="schur"), grid.floor)
+        assert a == pytest.approx(ref, rel=1e-12)
+        assert b == pytest.approx(ref, rel=1e-12)
+        if ref > grid.floor:
+            assert resolvent_norm(op, z, method="lu") == pytest.approx(ref, rel=1e-12)
+
+
+def test_tridiagonal_solves_are_the_dense_solves_and_leave_x_alone():
+    # column j becomes (C^H C)^{-1} x_j, C = A - z_j, for the stacked
+    # block and after it is compacted to one shift; X keeps its bytes
+    A = weyl_quantize_poly(ROT, HermiteBasis(40), h=0.1).matrix
+    zs = np.array([0.5 + 0.2j, 1.3 - 0.1j, 0.3 + 0.4j])
+    kind, factor, _ = spectral._factor(A)
+    assert kind == "tridiagonal"
+    solve = factor(zs)
+    rng = np.random.default_rng(3)
+    for rows in (np.arange(3), np.array([0, 2]), np.array([2])):
+        X = rng.standard_normal((40, rows.size)) + 1j * rng.standard_normal((40, rows.size))
+        before = X.tobytes()
+        Y = solve(X, rows)
+        assert X.tobytes() == before and Y.flags.c_contiguous
+        for j, r in enumerate(rows):
+            C = A - zs[r] * np.eye(40)
+            ref = np.linalg.solve(C, np.linalg.solve(C.conj().T, X[:, j]))
+            assert np.abs(Y[:, j] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_schur_method_still_builds_the_schur_factor(monkeypatch):
+    op = weyl_quantize_poly(ROT, HermiteBasis(40), h=0.1)
+    calls = []
+
+    def schur_T(A):
+        calls.append(A.shape)
+        return _schur_T(A)
+
+    _schur_T = spectral._schur_T
+    monkeypatch.setattr(spectral, "_schur_T", schur_T)
+    resolvent_norm(op, 0.5 + 0.2j, method="lu")
+    resolvent_norm(op, 0.5 + 0.2j, method="auto")
+    pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (4, 3))
+    assert calls == []
+    resolvent_norm(op, 0.5 + 0.2j, method="schur")
+    assert calls == [(40, 40)]
+
+
+def test_structure_test_is_exact():
+    A = weyl_quantize_poly(ROT, HermiteBasis(30), h=0.1).matrix
+    sub, diag, sup = spectral._tridiagonal_bands(A)
+    assert np.array_equal(np.diag(sub, -1) + np.diag(diag) + np.diag(sup, 1), A)
+    B = A.copy()
+    B[0, 29] = 1e-300                  # one entry off the bands
+    assert spectral._tridiagonal_bands(B) is None
+    assert spectral._tridiagonal_bands(A[:2, :2]) is None   # below gttrf's order
+    # a quartic symbol has bands at offsets 2 and 4: the Schur path
+    quartic = weyl_quantize_poly(parse_symbol("xi1^2 + x1^4", 1), HermiteBasis(30), 0.1)
+    assert spectral._tridiagonal_bands(quartic.matrix) is None
+
+
+# sha256 of the grid's sigma bytes and the lu value at 0.45+0.1i on the
+# Schur and dense LU paths, which operators that are not tridiagonal keep
+_PINNED = {
+    "complex grid": ("7139c7305ce5778e81d869db5dd4f8c97406f7b3123bcfe2af6b2e0f1782d8e9",
+                     "0x1.12e986e37fdf0p-8"),
+    "real quartic": ("989640431bc15fdfc6da28ea6d38bd04072d60ba54b9a8178e83e85ae88350fc",
+                     "0x1.1437cb74bf319p-3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_operators_off_the_tridiagonal_path_keep_their_bytes(name):
+    if name == "complex grid":
+        op = weyl_quantize_grid(ROT, FourierGrid(2.5, 64), 0.1, xi_limit=1.0,
+                                tail_frac_tol=1.0)
+    else:
+        op = weyl_quantize_poly(parse_symbol("xi1^2 + x1^4", 1), HermiteBasis(60), 0.1)
+    grid = pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (9, 7))
+    assert grid.timing["factor"] == "schur"
+    digest = hashlib.sha256(grid.sigma.tobytes()).hexdigest()
+    assert (digest, resolvent_norm(op, 0.45 + 0.1j, method="lu").hex()) == _PINNED[name]
 
 
 def test_schur_solve_is_the_row_formula():
@@ -307,6 +404,9 @@ for M, h, shape in ((200, 0.05, (101, 81)), (400, 0.025, (26, 21))):
                "floored": hashlib.sha256(g.floored.tobytes()).hexdigest(),
                "svd_fallbacks": g.timing["svd_fallbacks"],
                "fallback_nodes": failed.pop()}
+    if M == 400:
+        runs["400_nodes"] = {"sigma": g.sigma.ravel().tolist(),
+                             "floored": g.floored.ravel().tolist()}
 print(json.dumps(runs))
 """
 
@@ -341,6 +441,18 @@ def test_fallbacks_above_the_crossover_do_not_depend_on_blas_threads(
     one, two = (run["400"] for run in blas_thread_runs)
     assert one["svd_fallbacks"] == two["svd_fallbacks"]
     assert one["fallback_nodes"] == two["fallback_nodes"]
+
+
+def test_tridiagonal_sweep_above_the_crossover_does_not_depend_on_blas_threads(
+        blas_thread_runs):
+    # the stacked tridiagonal sweep calls no BLAS: only the floor, from
+    # the threaded SVD of P.norm(), moves with the thread count
+    one, two = (run["400_nodes"] for run in blas_thread_runs)
+    assert one["floored"] == two["floored"]
+    kept = ~np.array(one["floored"]) & ~np.array(two["floored"])
+    assert kept.sum() > 400
+    s1, s2 = np.array(one["sigma"])[kept], np.array(two["sigma"])[kept]
+    assert s1.tobytes() == s2.tobytes()
 
 
 class _FakeBlas:
