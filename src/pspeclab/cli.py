@@ -502,6 +502,7 @@ def cmd_fbi(args, cfg, run):
     field = fbi_transform(u, grid, h, x_out, xi_out)
     io.fbi_to_csv(run.path("fbi.csv"), field)
     io.fbi_to_pgm(run.path("fbi.pgm"), field, run.path("fbi_pgm.json"))
+    return {"phase_positivity": qm.records["phase_positivity"]}
 
 
 def cmd_repro(args):

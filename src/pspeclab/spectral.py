@@ -25,7 +25,7 @@ import scipy.linalg
 
 from ._blas import single_thread_below
 from .errors import ConvergenceError, PspecError
-from .quantize import OperatorMatrix
+from .quantize import OperatorMatrix, _tridiagonal_bands
 
 __all__ = [
     "SpectrumReport",
@@ -104,6 +104,8 @@ SIGMA_MAX_ITER = 50
 _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
 _STACK_ENTRIES = 1 << 15  # the same cap when each shift keeps its own factor
+_RITZ_BACKWARD = 1e-2 * SIGMA_TOL  # backward error the Ritz recurrence may keep
+_RITZ_ROWS = 16          # fewer tridiagonals than this take eigh in the Ritz step
 
 
 def _shifted(A, z):
@@ -195,19 +197,6 @@ def _lu_solves(A, z):
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
     lu, piv, _ = getrf(B, overwrite_a=True)
     return lambda X, rows: getrs(lu, piv, getrs(lu, piv, X)[0], trans=2)[0]
-
-
-def _tridiagonal_bands(A):
-    """The sub-, main and super-diagonal of A when every other entry is
-    an exact zero and the order is at least 3 (LAPACK's gttrf bound for
-    the stacked system), else None.  Counting the non-zeros makes no
-    M x M temporary."""
-    if A.shape[0] < 3:
-        return None
-    bands = [np.diagonal(A, k) for k in (-1, 0, 1)]
-    if np.count_nonzero(A) != sum(map(np.count_nonzero, bands)):
-        return None
-    return bands
 
 
 class _TridiagonalFactor:
@@ -362,14 +351,48 @@ def _real_dots(X, Y):
 def _top_ritz(ab):
     """Largest eigenvalue theta of each tridiagonal with diagonal ab[:, 0]
     and off-diagonal ab[:, 1, :-1], and its Ritz residual ab[:, 1, -1]
-    |y_k|, y the unit eigenvector of theta."""
+    |y_k|, y the unit eigenvector of theta (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 7 and 13).
+
+    theta comes from a batched eigvalsh, which reads the lower triangle
+    and computes no eigenvectors.  y is the eigenvector scaled to y_k = 1
+    by the three-term recurrence run from the bottom row up: r_k = 1,
+    r_{i-1} = ((theta - alpha_i) r_i - beta_i r_{i+1}) / beta_{i-1}, and
+    |y_k| = 1 / ||r||.  Every row but the first holds exactly, so r is an
+    eigenvector of T less a rank-one term of norm |gamma| / ||r||, gamma
+    the first row's residual, and the Ritz residual it reports is off by
+    at most that much.  The recurrence is unstable where y decays toward
+    the top; a row keeps it only when |gamma| / ||r|| is at most
+    _RITZ_BACKWARD * ||T|| (and ||r|| is finite), and otherwise takes its
+    eigenvector from eigh.  The recurrence costs k numpy calls whatever
+    the number of tridiagonals, so fewer than _RITZ_ROWS of them (single
+    shifts, a block's last stragglers) take eigh alone, which is cheaper
+    there."""
     n, _, k = ab.shape
     T = np.zeros((n, k, k))
-    i = np.arange(k)
-    T[:, i, i] = ab[:, 0]
-    T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = ab[:, 1, :-1]
-    vals, vecs = np.linalg.eigh(T)
-    return vals[:, -1], ab[:, 1, -1] * np.abs(vecs[:, -1, -1])
+    flat = T.reshape(n, k * k)
+    alpha, beta = ab[:, 0], ab[:, 1]
+    flat[:, ::k + 1] = alpha
+    flat[:, k::k + 1] = beta[:, :-1]
+    if n < _RITZ_ROWS:
+        vals, vecs = np.linalg.eigh(T)
+        return vals[:, -1], beta[:, -1] * np.abs(vecs[:, -1, -1])
+    vals = np.linalg.eigvalsh(T)
+    theta = vals[:, -1]
+    with np.errstate(all="ignore"):
+        r, below, squares = np.ones(n), np.zeros(n), np.ones(n)
+        for i in range(k - 1, 0, -1):
+            r, below = ((theta - alpha[:, i]) * r - beta[:, i] * below) / beta[:, i - 1], r
+            squares += r * r
+        length = np.sqrt(squares)
+        gamma = (alpha[:, 0] - theta) * r + beta[:, 0] * below
+        scale = np.maximum(theta, -vals[:, 0])     # ||T||
+        res = beta[:, -1] / length
+        ok = np.abs(gamma) <= _RITZ_BACKWARD * scale * length
+    bad = np.flatnonzero(~(ok & np.isfinite(length)))
+    if bad.size:
+        res[bad] = beta[bad, -1] * np.abs(np.linalg.eigh(T[bad])[1][:, -1, -1])
+    return theta, res
 
 
 def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
@@ -422,11 +445,14 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     One Schur factorization serves every node, or, for an exactly
     tridiagonal P, one tridiagonal LU factor per node (timing["factor"]
     names which, None with force_svd); the nodes advance together
-    through the blocked inverse Lanczos, and nodes that fail it fall
+    through the blocked inverse Lanczos, whose Ritz step computes no
+    eigenvectors (see _top_ritz), and nodes that fail it fall
     back to a full SVD (count logged in timing).  The step
     histogram is timing["sigma_steps"]: entry k counts the nodes that
     stopped after k + 1 steps (empty with force_svd).  force_svd takes
-    the SVD at every node.  threads is only recorded in timing:
+    the SVD at every node.  Values below the floor FLOOR_FACTOR * eps *
+    ||P|| are clamped to it and flagged; ||P|| is P.norm(), which a
+    tridiagonal P takes from its bands.  threads is only recorded in timing:
     neither the work nor the output depends on it.  The BLAS thread
     count the kernels ran at (one below _blas.SINGLE_THREAD_BELOW, None
     when it cannot be set) is recorded as blas_threads.
@@ -545,44 +571,55 @@ def contour_extract(grid: ResolventGrid, levels):
     return out
 
 
-def _interp(p1, v1, p2, v2, level):
-    t = (level - v1) / (v2 - v1)
-    return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+def _crossed_edges(code):
+    """Edge pairs a cell with corner code code (bit k set when corner k
+    is above the level) joins, in order; edge k runs from corner k to
+    corner (k + 1) % 4, and -1 marks no second segment.  The saddles 5
+    and 10 cross all four edges and list one of their two pairings."""
+    edges = [k for k in range(4) if (code >> k & 1) != (code >> (k + 1) % 4 & 1)]
+    if len(edges) == 4:
+        return (0, 1), (2, 3)
+    return (tuple(edges) if edges else (-1, -1)), (-1, -1)
+
+
+_CELL_EDGES = np.array([_crossed_edges(code) for code in range(16)])
 
 
 def _marching_squares(xs, ys, field, level):
-    segments = []
-    nx, ny = field.shape
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            v = [field[i, j], field[i + 1, j], field[i + 1, j + 1], field[i, j + 1]]
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
-                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            idx = sum((1 << k) for k in range(4) if v[k] > level)
-            if idx in (0, 15):
-                continue
-            # edge k joins corner k and corner (k+1) % 4
-            crossings = {}
-            for k in range(4):
-                a, b = k, (k + 1) % 4
-                if (v[a] > level) != (v[b] > level):
-                    crossings[k] = _interp(corners[a], v[a], corners[b], v[b], level)
-            ks = sorted(crossings)
-            if len(ks) == 2:
-                segments.append((crossings[ks[0]], crossings[ks[1]]))
-            elif len(ks) == 4:
-                # saddle: the corners on the cell-center value's side of
-                # the level join across the cell, so the segments cut off
-                # the other two corners (corner k sits between edges k-1
-                # and k)
-                center = sum(v) / 4.0
-                if (center > level) == (v[0] > level):
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
-                else:
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
-    return segments
+    """Isoline segments of field at level, cell by cell in (i, j) order,
+    each a pair of (x, y) points of numpy floats.  Corner k of cell
+    (i, j) is node (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) for
+    k = 0..3.  The cells are classified at once and only those the level
+    crosses are visited; a crossing is linear interpolation along its
+    edge, t = (level - v_a) / (v_b - v_a).  In a saddle cell (corners 0
+    and 2 on one side, 1 and 3 on the other) the corners on the
+    cell-center value's side of the level join across the cell, so the
+    segments cut off the other two corners."""
+    xs, ys, field = np.asarray(xs), np.asarray(ys), np.asarray(field)
+    above = field > level
+    code = (above[:-1, :-1] + 2 * above[1:, :-1] + 4 * above[1:, 1:]
+            + 8 * above[:-1, 1:])
+    I, J = np.nonzero((code != 0) & (code != 15))
+    code = code[I, J]
+    ci = I + np.array([0, 1, 1, 0])[:, None]      # (corner, cell)
+    cj = J + np.array([0, 0, 1, 1])[:, None]
+    v, px, py = field[ci, cj], xs[ci], ys[cj]
+    b = [1, 2, 3, 0]                              # far corner of each edge
+    with np.errstate(all="ignore"):              # edges without a crossing
+        t = (level - v) / (v[b] - v)
+        ex, ey = px + t * (px[b] - px), py + t * (py[b] - py)
+    edges = _CELL_EDGES[code]                     # (cell, segment, end)
+    saddle = np.flatnonzero((code == 5) | (code == 10))
+    center = (v[0, saddle] + v[1, saddle] + v[2, saddle] + v[3, saddle]) / 4.0
+    split = (center > level) != (v[0, saddle] > level)
+    edges[saddle[split]] = (0, 3), (1, 2)
+    cell = np.repeat(np.arange(code.size), 2)
+    edges = edges.reshape(-1, 2)
+    used = edges[:, 0] >= 0
+    cell, (ea, eb) = cell[used], edges[used].T
+    starts = zip(ex[ea, cell], ey[ea, cell])
+    ends = zip(ex[eb, cell], ey[eb, cell])
+    return list(zip(starts, ends))
 
 
 def _chain_segments(segments, digits=9):

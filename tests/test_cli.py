@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from pspeclab import _blas
 from pspeclab.artifacts import (
+    grid_to_csv,
     operator_from_file,
     operator_to_file,
     sha256_file,
+    write_csv,
     write_pgm,
 )
 from pspeclab.cli import main
@@ -22,6 +24,7 @@ from pspeclab.quantize import (
     weyl_quantize_grid,
     weyl_quantize_poly,
 )
+from pspeclab.spectral import ResolventGrid, pseudospectrum_grid
 from pspeclab.symbols import parse_symbol
 
 
@@ -114,6 +117,27 @@ def test_psgrid_artifacts_and_determinism(tmp_path):
         assert sum(man["timing"]["sigma_steps"]) == 8 * 6
         hashes.append(man["artifacts"]["grid.csv"])
     assert hashes[0] == hashes[1]
+
+
+def test_grid_csv_is_the_generic_writer(tmp_path):
+    # rows re, im, sigma_min, floored_flag, re slowest, formatted as
+    # write_csv formats each value; on a rotated grid with floored nodes
+    # and on a field with signed zeros, integers and extreme values
+    op = weyl_quantize_poly(parse_symbol("xi1^2+xi1*1i+x1^2", 1),
+                            HermiteBasis(200), 0.05)
+    rotated = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (26, 21))
+    assert rotated.floored.any() and not rotated.floored.all()
+    sigma = np.array([[0.0, -0.0, 1e-300], [5e-324, 1.7976931348623157e308, 3.0],
+                      [0.1, 2.5e-12, 7.0]])
+    odd = ResolventGrid(np.array([-1.0, -0.0, 2.0]), np.array([0.0, 1e-17, 3.0]),
+                        sigma, sigma < 1e-12, 0.1, 1e-12)
+    for grid in (rotated, odd):
+        rows = [[r, m, grid.sigma[i, j], bool(grid.floored[i, j])]
+                for i, r in enumerate(grid.re) for j, m in enumerate(grid.im)]
+        ref = write_csv(tmp_path / "ref.csv", ["re", "im", "sigma_min", "floored_flag"],
+                        rows)
+        got = grid_to_csv(tmp_path / "got.csv", grid)
+        assert got.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("path, factor", [("hermite", "tridiagonal"),
@@ -606,3 +630,22 @@ def test_conjugate_and_fbi_commands(tmp_path):
     out2 = tmp_path / "fb"
     assert run_cli(["fbi", "--config", str(path2), "--out", str(out2)]) == 0
     assert (out2 / "fbi.pgm").read_text().startswith("P2")
+
+
+@pytest.mark.parametrize("order, ok", [(3, False), (1, True)])
+def test_fbi_manifest_reports_the_phase_positivity_check(tmp_path, order, ok):
+    # at the default delta = 0.5 the order-3 phase turns negative in the
+    # cutoff ramp (worst margin -0.133); the manifest says so, outside
+    # the checksummed artifacts
+    cfg = {"symbol": ROT, "point": [1.0, 1.0], "h": 0.1, "order": order,
+           "out_points": 11}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "fb"
+    assert run_cli(["fbi", "--config", str(path), "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    check = man["phase_positivity"]
+    assert check["ok"] is ok and (check["worst_margin"] >= 0) is ok
+    if order == 3:
+        assert check["worst_margin"] == pytest.approx(-0.1326, abs=1e-4)
+    assert set(man["artifacts"]) == {"fbi.csv", "fbi.pgm", "fbi_pgm.json"}

@@ -8,7 +8,9 @@ from pspeclab.errors import GridResolutionError, NonFiniteError, NotPolynomialEr
 from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
+    OperatorMatrix,
     _mccoy_1d,
+    _tridiagonal_bands,
     fbi_transform,
     gaussian_smooth_poly,
     hermite_functions,
@@ -713,3 +715,53 @@ def test_basis_metadata_evaluates_vectors():
     vals = basis.evaluate(coeffs, x, h)
     direct = hermite_functions(M, x, h)[3]
     assert np.allclose(vals, direct, atol=1e-12)
+
+
+def _tridiagonals():
+    """Tridiagonal matrices: Hermite matrices of real and complex
+    symbols, whose super-diagonal is not +-sub (the rotated oscillator's
+    is -sub), random real and complex bands, order 3, diagonal only and
+    zero."""
+    rng = np.random.default_rng(19)
+    mats = [weyl_quantize_poly(parse_symbol(sym, 1), HermiteBasis(M), h).matrix
+            for sym in ("xi1^2 + xi1*1i + x1^2", "xi1^2+xi1*1i+x1^2+0.3*x1",
+                        "xi1^2+x1^2+1i*x1")
+            for M, h in ((3, 0.5), (60, 0.1), (200, 0.05))]
+    for M in (3, 4, 50):
+        for imag in (0.0, 1.0):
+            sub, diag, sup = (rng.standard_normal(n) + imag * 1j * rng.standard_normal(n)
+                              for n in (M - 1, M, M - 1))
+            mats.append(np.diag(sub, -1) + np.diag(diag) + np.diag(sup, 1))
+    mats.append(np.diag(rng.standard_normal(20) + 1j * rng.standard_normal(20)))
+    return mats
+
+
+def test_tridiagonal_norm_is_the_dense_svd():
+    # the top eigenvalue of the pentadiagonal P^H P, assembled from the
+    # three bands, against the dense SVD
+    mats = _tridiagonals()
+    shifted, complex_ = mats[4], mats[7]      # at M = 60
+    sub, _, sup = _tridiagonal_bands(shifted)
+    assert not shifted.imag.any() and complex_.imag.any()
+    assert not np.allclose(np.abs(sup), np.abs(sub))
+    for A in mats:
+        assert _tridiagonal_bands(A) is not None
+        norm = OperatorMatrix(A, 0.1, None).norm()
+        ref = np.linalg.norm(A, 2)
+        assert abs(norm - ref) <= 1e-14 * ref, (A.shape, norm, ref)
+    zero = OperatorMatrix(np.zeros((5, 5), dtype=complex), 0.1, None)
+    assert _tridiagonal_bands(zero.matrix) is not None
+    assert zero.norm() == 0.0 and type(zero.norm()) is float
+
+
+def test_norm_off_the_bands_is_the_dense_svd_bytes():
+    rng = np.random.default_rng(7)
+    quartic = weyl_quantize_poly(parse_symbol("xi1^2 + x1^4", 1), HermiteBasis(40), 0.1)
+    mats = [quartic.matrix,
+            rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)),
+            np.array([[1.0, 2.0], [3.0, 4.0j]])]       # below order 3
+    for A in mats:
+        assert _tridiagonal_bands(A) is None
+        norm = OperatorMatrix(A, 0.1, None).norm()
+        assert norm.hex() == float(np.linalg.norm(A, 2)).hex()
+

@@ -116,10 +116,13 @@ def test_residual_sweep_reports_the_phase_positivity_check(N, delta, ok):
 
 
 def test_rotated_beam_slopes_monotone_in_order():
+    # at delta = 0.3 every beam passes its own phase-positivity check (at
+    # 0.5 the N=2 phase turns negative in the cutoff ramp)
     hs = [0.05, 0.035, 0.025, 0.018, 0.0125]
     slopes = []
     for N in (0, 1, 2):
-        fit, _ = residual_sweep(ROT, [1, 1], N, 0.5, hs)
+        fit, rec = residual_sweep(ROT, [1, 1], N, 0.3, hs)
+        assert rec["phase_positivity"]["ok"], N
         slopes.append(fit.exponent)
     assert slopes[0] <= slopes[1] <= slopes[2]
     assert slopes[1] >= 1.8   # transport solved at order 1

@@ -212,12 +212,89 @@ def test_structure_test_is_exact():
     assert spectral._tridiagonal_bands(quartic.matrix) is None
 
 
+def _eigh_ritz(ab):
+    """The Ritz step with eigenvectors: the eigenvalues of each
+    tridiagonal from a batched eigh, and ab[:, 1, -1] |y_k| for the unit
+    eigenvector y of the largest."""
+    n, _, k = ab.shape
+    T = np.zeros((n, k, k))
+    i = np.arange(k)
+    T[:, i, i] = ab[:, 0]
+    T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = ab[:, 1, :-1]
+    vals, vecs = np.linalg.eigh(T)
+    return vals, ab[:, 1, -1] * np.abs(vecs[:, -1, -1])
+
+
+def _assert_ritz_is_eigh(ab):
+    # theta to 1e-14 of ||T||; the residual to 1e-8 relative, or to the
+    # 4 eps ||T|| that eigh's own eigenvector entries may be off by
+    vals, ref = _eigh_ritz(ab)
+    theta, res = spectral._top_ritz(ab)
+    scale = np.abs(vals).max(axis=1)
+    assert (np.abs(theta - vals[:, -1]) <= 1e-14 * scale).all()
+    err = np.abs(res - ref)
+    assert ((err <= 1e-8 * ref) | (err <= 4 * np.finfo(float).eps * scale)).all()
+    return theta, res
+
+
+def test_top_ritz_matches_eigh_on_random_jacobi_matrices():
+    # random diagonals and positive off-diagonals, where the bottom-up
+    # recurrence is often unstable and the rows take eigh; plus one zero
+    # row, as the sweep leaves after a non-finite solve
+    rng = np.random.default_rng(17)
+    for k in range(1, 41):
+        ab = rng.standard_normal((2 * spectral._RITZ_ROWS, 2, k))
+        ab[:, 1] = np.abs(ab[:, 1]) + 1e-3
+        ab[0] = 0
+        theta, _ = _assert_ritz_is_eigh(ab)
+        assert theta[0] == 0                   # never counts as done
+
+
+def test_top_ritz_matches_eigh_on_lanczos_tridiagonals(monkeypatch):
+    # the tridiagonals of real sweeps, on the tridiagonal and the Schur
+    # path, step by step up to convergence; only calls with fewer than
+    # _RITZ_ROWS tridiagonals take eigh, since none of the rows is
+    # unstable enough to need it
+    seen = []
+    top_ritz = spectral._top_ritz
+    monkeypatch.setattr(spectral, "_top_ritz",
+                        lambda ab: seen.append(ab.copy()) or top_ritz(ab))
+    quartic = weyl_quantize_poly(parse_symbol("xi1^2 + x1^4 + 1i*x1", 1),
+                                 HermiteBasis(60), 0.1)
+    for op in (weyl_quantize_poly(ROT, HermiteBasis(120), h=0.08), quartic):
+        pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (9, 7))
+    monkeypatch.undo()
+    many = [ab for ab in seen if ab.shape[0] >= spectral._RITZ_ROWS]
+    assert len(many) >= 20 and len(many) < len(seen)
+    for ab in seen:
+        _assert_ritz_is_eigh(ab)
+
+    def no_eigh(*args):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for ab in many:
+        spectral._top_ritz(ab)
+
+
+def test_rotated_grid_stop_decisions_are_pinned():
+    # the step histogram of the bench-shaped grid as the Ritz step with
+    # eigenvectors (batched eigh) gave it: a change to the Ritz step that
+    # moves one stop decision moves it
+    op = weyl_quantize_poly(ROT, HermiteBasis(200), h=0.05)
+    grid = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (26, 21))
+    assert grid.timing["factor"] == "tridiagonal"
+    assert grid.timing["sigma_steps"] == [0, 112, 99, 53, 32, 28, 19, 22, 20,
+                                          21, 27, 24, 25, 30, 15, 13, 6]
+    assert grid.timing["svd_fallbacks"] == 0
+
+
 # sha256 of the grid's sigma bytes and the lu value at 0.45+0.1i on the
 # Schur and dense LU paths, which operators that are not tridiagonal keep
 _PINNED = {
-    "complex grid": ("7139c7305ce5778e81d869db5dd4f8c97406f7b3123bcfe2af6b2e0f1782d8e9",
+    "complex grid": ("e9db8f35d260719a42eef3fbc51ba1605655cd7311ea3a8919ea8375a2951387",
                      "0x1.12e986e37fdf0p-8"),
-    "real quartic": ("989640431bc15fdfc6da28ea6d38bd04072d60ba54b9a8178e83e85ae88350fc",
+    "real quartic": ("64c3d3e05b8ca3aad5c70740e021f4738ab23701051833082204d3a642f60cde",
                      "0x1.1437cb74bf319p-3"),
 }
 
@@ -436,8 +513,8 @@ def test_grid_bytes_do_not_depend_on_blas_threads(blas_thread_runs):
 
 def test_fallbacks_above_the_crossover_do_not_depend_on_blas_threads(
         blas_thread_runs):
-    # at M=400 the kernels run on two threads and the grids differ in
-    # their last bits; no shift may converge or fail on that rounding
+    # at M=400 the kernels run on two threads; no shift may converge or
+    # fail on their rounding
     one, two = (run["400"] for run in blas_thread_runs)
     assert one["svd_fallbacks"] == two["svd_fallbacks"]
     assert one["fallback_nodes"] == two["fallback_nodes"]
@@ -445,14 +522,13 @@ def test_fallbacks_above_the_crossover_do_not_depend_on_blas_threads(
 
 def test_tridiagonal_sweep_above_the_crossover_does_not_depend_on_blas_threads(
         blas_thread_runs):
-    # the stacked tridiagonal sweep calls no BLAS: only the floor, from
-    # the threaded SVD of P.norm(), moves with the thread count
+    # neither the stacked tridiagonal sweep nor the band norm behind the
+    # floor calls a threaded BLAS kernel: the whole grid keeps its bytes,
+    # its floored nodes included
     one, two = (run["400_nodes"] for run in blas_thread_runs)
-    assert one["floored"] == two["floored"]
-    kept = ~np.array(one["floored"]) & ~np.array(two["floored"])
-    assert kept.sum() > 400
-    s1, s2 = np.array(one["sigma"])[kept], np.array(two["sigma"])[kept]
-    assert s1.tobytes() == s2.tobytes()
+    assert sum(one["floored"]) > 0
+    assert one == two
+    assert blas_thread_runs[0]["400"]["sigma"] == blas_thread_runs[1]["400"]["sigma"]
 
 
 class _FakeBlas:
@@ -637,6 +713,66 @@ def test_contour_chaining_keeps_the_bytes():
         for pl, (points, closed) in zip(got, ref):
             assert pl.closed == closed
             assert pl.points.tobytes() == points.tobytes()
+
+
+def _marching_squares_per_cell(xs, ys, field, level):
+    """Marching squares one cell at a time: corner k of cell (i, j) is
+    node (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1), edge k joins
+    corners k and (k + 1) % 4, and a saddle's corners on the cell-center
+    value's side of the level join across the cell."""
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            v = [field[i, j], field[i + 1, j], field[i + 1, j + 1], field[i, j + 1]]
+            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
+                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
+            crossings = {}
+            for k in range(4):
+                a, b = k, (k + 1) % 4
+                if (v[a] > level) != (v[b] > level):
+                    t = (level - v[a]) / (v[b] - v[a])
+                    crossings[k] = tuple(p + t * (q - p)
+                                         for p, q in zip(corners[a], corners[b]))
+            if len(crossings) == 2:
+                segments.append(tuple(crossings[k] for k in sorted(crossings)))
+            elif len(crossings) == 4:
+                if (sum(v) / 4.0 > level) == (v[0] > level):
+                    segments += [(crossings[0], crossings[1]), (crossings[2], crossings[3])]
+                else:
+                    segments += [(crossings[0], crossings[3]), (crossings[1], crossings[2])]
+    return segments
+
+
+def test_marching_squares_is_the_per_cell_loop():
+    # the README grid's levels, a random field full of saddles, values
+    # equal to the level, and nan; the segments, their order and the
+    # numpy float type of every coordinate (which _chain_segments rounds)
+    op = weyl_quantize_poly(ROT, HermiteBasis(200), h=0.05)
+    grid = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (101, 81))
+    rng = np.random.default_rng(23)
+    xs, ys = np.linspace(0, 1, 31), np.linspace(-1, 1, 17)
+    noise = rng.standard_normal((31, 17))
+    ties = np.round(noise, 1)
+    holes = noise.copy()
+    holes[rng.random(holes.shape) < 0.1] = np.nan
+    cases = [(grid.re, grid.im, grid.sigma, level) for level in (1e-4, 1e-8, 0.1)]
+    cases += [(xs, ys, f, level) for f in (noise, ties, holes)
+              for level in (-0.5, 0.0, 0.3)]
+    above = noise > 0.0
+    saddles = ((above[:-1, :-1] == above[1:, 1:]) & (above[1:, :-1] == above[:-1, 1:])
+               & (above[:-1, :-1] != above[1:, :-1]))
+    assert saddles.sum() > 10
+    for xs_, ys_, field, level in cases:
+        got = spectral._marching_squares(xs_, ys_, field, level)
+        ref = _marching_squares_per_cell(xs_, ys_, field, level)
+        assert len(got) == len(ref) > 0
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert {type(c) for seg in got for p in seg for c in p} == {np.float64}
+    for eps, lines in contour_extract(grid, [1e-4, 1e-8, 0.1]).items():
+        ref = spectral._chain_segments(
+            _marching_squares_per_cell(grid.re, grid.im, grid.sigma, eps))
+        assert [(pl.closed, pl.points.tobytes()) for pl in lines] == \
+            [(pl.closed, pl.points.tobytes()) for pl in ref]
 
 
 def test_contour_saddle_cells_follow_the_cell_center():
