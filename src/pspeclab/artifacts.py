@@ -33,6 +33,8 @@ __all__ = [
 
 
 def _fmt(x) -> str:
+    if type(x) is float:        # the common case, ahead of the ladder
+        return repr(x)
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -73,7 +75,7 @@ def write_csv(path, header, rows):
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(map(_fmt, row)) + "\n")
     return path
 
 
@@ -146,20 +148,13 @@ def atlas_to_json(path, atlas):
 
 
 def grid_to_csv(path, grid):
-    """One row re, im, sigma_min, floored_flag per node, re slowest: the
-    bytes of write_csv, formatted straight from Python floats (repr)
-    and bools."""
-    re, im = ([repr(v) for v in np.asarray(a, dtype=float).tolist()]
-              for a in (grid.re, grid.im))
-    sigma = np.asarray(grid.sigma, dtype=float).tolist()
-    floored = np.asarray(grid.floored, dtype=bool).tolist()
-    path = Path(path)
-    with path.open("w") as f:
-        f.write("re,im,sigma_min,floored_flag\n")
-        for r, srow, frow in zip(re, sigma, floored):
-            f.writelines(f"{r},{m},{s!r},{1 if b else 0}\n"
-                         for m, s, b in zip(im, srow, frow))
-    return path
+    """One row re, im, sigma_min, floored_flag per node, re slowest,
+    passed to write_csv as Python floats and bools (.tolist())."""
+    re, im = grid.re.tolist(), grid.im.tolist()
+    sigma, floored = grid.sigma.tolist(), grid.floored.tolist()
+    rows = ([r, m, s, b] for r, srow, frow in zip(re, sigma, floored)
+            for m, s, b in zip(im, srow, frow))
+    return write_csv(path, ["re", "im", "sigma_min", "floored_flag"], rows)
 
 
 def grid_to_pgm(path, grid, sidecar_path=None):

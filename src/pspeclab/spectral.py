@@ -105,7 +105,6 @@ _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
 _STACK_ENTRIES = 1 << 15  # the same cap when each shift keeps its own factor
 _RITZ_BACKWARD = 1e-2 * SIGMA_TOL  # backward error the Ritz recurrence may keep
-_RITZ_ROWS = 16          # fewer tridiagonals than this take eigh in the Ritz step
 
 
 def _shifted(A, z):
@@ -364,19 +363,13 @@ def _top_ritz(ab):
     at most that much.  The recurrence is unstable where y decays toward
     the top; a row keeps it only when |gamma| / ||r|| is at most
     _RITZ_BACKWARD * ||T|| (and ||r|| is finite), and otherwise takes its
-    eigenvector from eigh.  The recurrence costs k numpy calls whatever
-    the number of tridiagonals, so fewer than _RITZ_ROWS of them (single
-    shifts, a block's last stragglers) take eigh alone, which is cheaper
-    there."""
+    eigenvector from eigh."""
     n, _, k = ab.shape
     T = np.zeros((n, k, k))
     flat = T.reshape(n, k * k)
     alpha, beta = ab[:, 0], ab[:, 1]
     flat[:, ::k + 1] = alpha
     flat[:, k::k + 1] = beta[:, :-1]
-    if n < _RITZ_ROWS:
-        vals, vecs = np.linalg.eigh(T)
-        return vals[:, -1], beta[:, -1] * np.abs(vecs[:, -1, -1])
     vals = np.linalg.eigvalsh(T)
     theta = vals[:, -1]
     with np.errstate(all="ignore"):

@@ -120,9 +120,11 @@ def test_psgrid_artifacts_and_determinism(tmp_path):
 
 
 def test_grid_csv_is_the_generic_writer(tmp_path):
-    # rows re, im, sigma_min, floored_flag, re slowest, formatted as
-    # write_csv formats each value; on a rotated grid with floored nodes
-    # and on a field with signed zeros, integers and extreme values
+    # rows re, im, sigma_min, floored_flag, re slowest; grid_to_csv
+    # passes Python floats and bools, which _fmt formats as it formats
+    # the numpy scalars of these reference rows; on a rotated grid with
+    # floored nodes and on a field with signed zeros, integers and
+    # extreme values
     op = weyl_quantize_poly(parse_symbol("xi1^2+xi1*1i+x1^2", 1),
                             HermiteBasis(200), 0.05)
     rotated = pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (26, 21))

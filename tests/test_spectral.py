@@ -243,7 +243,7 @@ def test_top_ritz_matches_eigh_on_random_jacobi_matrices():
     # row, as the sweep leaves after a non-finite solve
     rng = np.random.default_rng(17)
     for k in range(1, 41):
-        ab = rng.standard_normal((2 * spectral._RITZ_ROWS, 2, k))
+        ab = rng.standard_normal((32, 2, k))
         ab[:, 1] = np.abs(ab[:, 1]) + 1e-3
         ab[0] = 0
         theta, _ = _assert_ritz_is_eigh(ab)
@@ -251,10 +251,9 @@ def test_top_ritz_matches_eigh_on_random_jacobi_matrices():
 
 
 def test_top_ritz_matches_eigh_on_lanczos_tridiagonals(monkeypatch):
-    # the tridiagonals of real sweeps, on the tridiagonal and the Schur
-    # path, step by step up to convergence; only calls with fewer than
-    # _RITZ_ROWS tridiagonals take eigh, since none of the rows is
-    # unstable enough to need it
+    # the tridiagonals of real sweeps and single shifts, on the
+    # tridiagonal and the Schur path, step by step up to convergence;
+    # none of the rows is unstable enough to need eigh
     seen = []
     top_ritz = spectral._top_ritz
     monkeypatch.setattr(spectral, "_top_ritz",
@@ -263,9 +262,9 @@ def test_top_ritz_matches_eigh_on_lanczos_tridiagonals(monkeypatch):
                                  HermiteBasis(60), 0.1)
     for op in (weyl_quantize_poly(ROT, HermiteBasis(120), h=0.08), quartic):
         pseudospectrum_grid(op, (-0.5, 2.0, -1.0, 1.0), (9, 7))
+        resolvent_norm(op, 0.45 + 0.1j, method="lu")
     monkeypatch.undo()
-    many = [ab for ab in seen if ab.shape[0] >= spectral._RITZ_ROWS]
-    assert len(many) >= 20 and len(many) < len(seen)
+    assert len(seen) >= 20 and min(ab.shape[0] for ab in seen) == 1
     for ab in seen:
         _assert_ritz_is_eigh(ab)
 
@@ -273,7 +272,7 @@ def test_top_ritz_matches_eigh_on_lanczos_tridiagonals(monkeypatch):
         raise AssertionError("eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    for ab in many:
+    for ab in seen:
         spectral._top_ritz(ab)
 
 
@@ -292,9 +291,9 @@ def test_rotated_grid_stop_decisions_are_pinned():
 # sha256 of the grid's sigma bytes and the lu value at 0.45+0.1i on the
 # Schur and dense LU paths, which operators that are not tridiagonal keep
 _PINNED = {
-    "complex grid": ("e9db8f35d260719a42eef3fbc51ba1605655cd7311ea3a8919ea8375a2951387",
+    "complex grid": ("4aa5a152f701e6556bef6b4ed601d54fc31f706a888815ee39daeac1d55aeaf7",
                      "0x1.12e986e37fdf0p-8"),
-    "real quartic": ("64c3d3e05b8ca3aad5c70740e021f4738ab23701051833082204d3a642f60cde",
+    "real quartic": ("88601fa202f4887574a19583a6b2295696c6032b89806fc8f5649c6aef1fb87b",
                      "0x1.1437cb74bf319p-3"),
 }
 
