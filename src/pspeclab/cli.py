@@ -525,7 +525,10 @@ def cmd_repro(args):
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def make_parser():
+    """The one parser of every main call: parse_args leaves it as built,
+    so it is built once per process."""
     ap = argparse.ArgumentParser(
         prog="pspeclab",
         description="Numerical laboratory for semiclassical pseudospectra")

@@ -16,7 +16,7 @@ from pspeclab.artifacts import (
     write_csv,
     write_pgm,
 )
-from pspeclab.cli import main
+from pspeclab.cli import main, make_parser
 from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
@@ -42,6 +42,19 @@ def test_classify_flags(tmp_path):
     assert set(manifest["artifacts"]) == {"atlas.csv", "atlas.json"}
     header = (out / "atlas.csv").read_text().splitlines()[0]
     assert header == "x,xi,re_p,im_p,bracket"
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # main builds its parser once per process; a rejected command line
+    # leaves it as it was, and no call's flags reach the next call
+    with pytest.raises(SystemExit):
+        run_cli(["classify", "--res", "forty"])
+    assert make_parser() is make_parser()
+    assert make_parser().parse_args(["psgrid", "--threads", "2"]).threads == 2
+    assert make_parser().parse_args(["psgrid"]).threads == 1
+    code = run_cli(["classify", "--symbol", "xi1^2+x1^2", "--box", "-1", "1",
+                    "-1", "1", "--res", "8", "--out", str(tmp_path / "c")])
+    assert code == 0
 
 
 def test_config_file_and_unknown_key(tmp_path):
