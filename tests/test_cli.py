@@ -153,6 +153,11 @@ def test_grid_csv_is_the_generic_writer(tmp_path):
                         rows)
         got = grid_to_csv(tmp_path / "got.csv", grid)
         assert got.read_bytes() == ref.read_bytes()
+    # the format itself: repr of each float, 1/0 for the flag
+    assert got.read_text().splitlines()[:4] == [
+        "re,im,sigma_min,floored_flag", "-1.0,0.0,0.0,1", "-1.0,1e-17,-0.0,1",
+        "-1.0,3.0,1e-300,1"]
+    assert got.read_text().splitlines()[6] == "-0.0,3.0,3.0,0"
 
 
 @pytest.mark.parametrize("path, factor", [("hermite", "tridiagonal"),
