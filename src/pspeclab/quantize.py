@@ -377,7 +377,9 @@ class OperatorMatrix:
 
     def hermiticity_defect(self):
         m = self.matrix
-        return float(np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300))
+        with single_thread_below(self.size):
+            return float(np.linalg.norm(m - m.conj().T)
+                         / max(np.linalg.norm(m), 1e-300))
 
     def __post_init__(self):
         _check_finite(self.matrix, "operator matrix has non-finite entries")
@@ -688,7 +690,7 @@ def gaussian_smooth_poly(poly: PolySymbol) -> PolySymbol:
     return out
 
 
-def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
+def wick_quantize(a, basis, h: float, gh_nodes: int = 30,
                   tail_frac_tol: float = 0.01) -> OperatorMatrix:
     """Anti-Wick quantization: Weyl quantization of a * unit Gaussian.
 
@@ -700,24 +702,29 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
     lattice, truncated to |u|, |v| <= R: two banded Gaussian weight
     matrices, xi first, then x.  Blocks of 2^14 samples keep the extra
     working set near 1 MB with the symbol's temporaries.  The error is
-    about e^{-pi^2/dt^2} for a smooth symbol at spacing dt, and nothing
-    wraps around, since the lattice is padded rather than periodic.  c
-    then goes through the grid path's kernel assembly (xi-limit 0), in
-    blocks of its rows.
+    about e^{-pi^2/dt^2} for a smooth symbol at spacing dt, plus the
+    Gaussian weight e^{-R^2} the window drops, and nothing wraps around,
+    since the lattice is padded rather than periodic.  A block of real
+    samples is smoothed in real arithmetic, and the x-smoothing stays
+    real while every block is real; complex samples take the product
+    over interleaved real and imaginary parts.  c then goes through the
+    grid path's kernel assembly (xi-limit 0), in blocks of its rows.
 
     gh_nodes sets R, the largest node of the gh_nodes-point
-    Gauss-Hermite rule.  Raises GridResolutionError when the Gaussian
-    mass beyond R, e^{-R^2}, exceeds 1e-8, or when the dual window
-    misses the smoothed symbol (tail_frac_tol), and PspecError when the
-    symbol is not finite on the padded lattice.  Nonnegative symbols
-    give PSD matrices for h <= 1.
+    Gauss-Hermite rule.  The default 30 gives R = 6.863, where the
+    Gaussian weight e^{-R^2} = 3.5e-21 is 2^-16 of double rounding, so
+    a wider window moves no entry by more than rounding.  Raises
+    GridResolutionError when e^{-R^2} exceeds 1e-8, or when the dual
+    window misses the smoothed symbol (tail_frac_tol), and PspecError
+    when the symbol is not finite on the padded lattice.  Nonnegative
+    symbols give PSD matrices for h <= 1.
     """
     poly = _wick_poly(a, basis)
     if poly is not None:
         op = basis.weyl(gaussian_smooth_poly(poly), h, xi_limit=None)
         op.provenance = "wick(poly)"
         return op
-    R = float(np.polynomial.hermite.hermgauss(gh_nodes)[0].max())
+    R = _window_radius(gh_nodes)
     # Gaussian mass beyond the window half-width must be negligible
     # against the symbol's variation
     tail = math.exp(-R ** 2)
@@ -734,20 +741,45 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 40,
     Gxi = _gaussian_band(M, pad_xi, h * np.pi / L)
     # smooth in xi one block of lattice columns x[cols] at a time
     # (samples indexed [xi, x]), then in x
-    smooth_xi = np.empty((x.size, M), dtype=complex)
+    smooth_xi = np.empty((x.size, M))
     step = max(1, 2 ** 14 // xi.size)
     with single_thread_below(M):
         for r in range(0, x.size, step):
             cols = slice(r, r + step)
-            block = _symbol_values(a, x[None, cols], xi[:, None])
+            block = _lattice_samples(a, x[None, cols], xi[:, None])
             block = np.broadcast_to(block, (xi.size, x[cols].size))
             _check_finite(block, "symbol evaluation failed on the Wick lattice")
-            smooth_xi[cols] = _real_times_complex(Gxi, block).T
-        c = _real_times_complex(Gx, smooth_xi)
+            if block.dtype == complex:
+                smooth_xi = smooth_xi.astype(complex, copy=False)
+                smooth_xi[cols] = _real_times_complex(Gxi, block).T
+            else:
+                smooth_xi[cols] = (Gxi @ np.ascontiguousarray(block)).T
+        c = (_real_times_complex(Gx, smooth_xi) if smooth_xi.dtype == complex
+             else Gx @ smooth_xi)
     A = _midpoint_kernel(lambda r: np.fft.ifftshift(c[r], axes=1), M,
                          tail_frac_tol)
     return OperatorMatrix(A, h, basis, provenance="wick(lattice)",
                           meta={"xi_window": float(np.abs(basis.dual_1d(h)).max())})
+
+
+@functools.cache
+def _window_radius(gh_nodes):
+    """The largest node of the gh_nodes-point Gauss-Hermite rule."""
+    return float(np.polynomial.hermite.hermgauss(gh_nodes)[0].max())
+
+
+def _lattice_samples(a, X, XI):
+    """Wick symbol values on lattice coordinates: a real array when the
+    values are real (a real dtype, or complex with no imaginary part),
+    else a complex array."""
+    if isinstance(a, SymbolExpr):
+        vals = a.eval_grid([X, XI])
+    else:
+        vals = np.asarray(a(X, XI))
+        if vals.dtype.kind in "biuf":
+            return vals.astype(float, copy=False)
+        vals = vals.astype(complex, copy=False)
+    return vals if vals.imag.any() else vals.real
 
 
 def _wick_poly(a, basis):
@@ -770,8 +802,9 @@ def _gaussian_band(n, pad, dt):
     averages lattice points i .. i + 2 pad around output point i."""
     g = dt / math.sqrt(math.pi) * np.exp(-(dt * np.arange(-pad, pad + 1)) ** 2)
     G = np.zeros((n, n + 2 * pad))
-    for i in range(n):
-        G[i, i:i + 2 * pad + 1] = g
+    # row i's run starts at flat index i (n + 2 pad + 1)
+    step = G.strides[1]
+    as_strided(G, (n, 2 * pad + 1), ((n + 2 * pad + 1) * step, step))[:] = g
     return G
 
 
@@ -909,7 +942,8 @@ def _fbi_raw(u, y, dy, h, x_out, xi_out):
     # window[a, y] = exp(-(x_a - y)^2 / 2h), phase[y, b] = exp(-i y xi_b / h)
     win = np.exp(-(x_out[:, None] - y[None, :]) ** 2 / (2 * h))
     phase = np.exp(-1j * y[:, None] * xi_out[None, :] / h)
-    core = (win * u[None, :]) @ phase
+    with single_thread_below(len(x_out)):
+        core = np.matmul(win * u[None, :], phase)
     # residual phase e^{i x xi / h} has modulus one; keep it for fidelity
     outer = np.exp(1j * x_out[:, None] * xi_out[None, :] / h)
     return core * outer * dy

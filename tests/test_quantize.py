@@ -686,11 +686,77 @@ def test_wick_lattice_samples_the_symbol_once(h):
         return _proximity_damping(X, XI)
 
     wick_quantize(counting, FourierGrid(L, M), h)
-    R = np.polynomial.hermite.hermgauss(40)[0].max()
+    # the default window, R = 6.863 (gh_nodes=30)
+    R = np.polynomial.hermite.hermgauss(30)[0].max()
     lattice = ((2 * M + 2 * math.ceil(R * M / L))
                * (M + 2 * math.ceil(R * L / (h * np.pi))))
     assert len(sizes) < 160
     assert sum(sizes) <= lattice
+
+
+def _gaussian_symbol(X, XI):
+    return np.exp(-X ** 2 - XI ** 2)
+
+
+@pytest.mark.parametrize("a_func, L, M, h", [
+    (_proximity_damping, 7.0, 64, 0.05),
+    (_proximity_damping, 7.0, 64, 0.025),
+    (_proximity_damping, 7.0, 512, 0.025),
+    (lambda X, XI: X ** 2 + 0 * XI, 6.0, 128, 0.1),
+    (lambda X, XI: X ** 4 + XI ** 2 * X ** 2 + 3 * XI, 6.0, 128, 0.1),
+    (lambda X, XI: X ** 8 + 0 * XI, 6.0, 128, 0.1),
+    (_gaussian_symbol, 7.0, 448, 0.1),
+], ids=["proximity-64-0.05", "proximity-64-0.025", "proximity-512-0.025",
+        "x2", "quartic", "x8", "gaussian"])
+def test_wick_lattice_default_window_matches_the_wider_one(a_func, L, M, h):
+    # beyond the default R = 6.863 the Gaussian weight is below 3.5e-21,
+    # which rounding cannot see: the R = 8.10 window of gh_nodes=40
+    # gives the same matrix to rounding, on the whole and in its middle
+    grid = FourierGrid(L, M)
+    W = wick_quantize(a_func, grid, h, tail_frac_tol=1.0).matrix
+    wide = wick_quantize(a_func, grid, h, gh_nodes=40, tail_frac_tol=1.0).matrix
+    assert np.abs(W - wide).max() <= 1e-15 * np.abs(wide).max()
+    mid = np.s_[M // 4: -(M // 4), M // 4: -(M // 4)]
+    assert np.abs(W[mid] - wide[mid]).max() <= 1e-15 * np.abs(wide[mid]).max()
+
+
+def test_wick_lattice_is_linear_over_complex_symbols():
+    # complex samples take the interleaved product, real ones the real
+    # product; W(a1 + i a2) = W(a1) + i W(a2) ties the two together
+    grid, h = FourierGrid(7.0, 64), 0.05
+
+    def a2(X, XI):
+        return np.exp(-(X - 1.0) ** 2 - XI ** 2)
+
+    W = wick_quantize(lambda X, XI: _proximity_damping(X, XI) + 1j * a2(X, XI),
+                      grid, h).matrix
+    ref = (wick_quantize(_proximity_damping, grid, h).matrix
+           + 1j * wick_quantize(a2, grid, h).matrix)
+    assert np.abs(W - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_wick_lattice_smooths_real_values_of_any_dtype_alike():
+    # complex samples with no imaginary part take the real product, as a
+    # SymbolExpr's always-complex values do, so the dtype moves no bit
+    grid, h = FourierGrid(7.0, 64), 0.05
+    W = wick_quantize(_gaussian_symbol, grid, h).matrix
+    as_complex = wick_quantize(
+        lambda X, XI: _gaussian_symbol(X, XI).astype(complex), grid, h).matrix
+    expr = wick_quantize(parse_symbol("exp(-x1^2 - xi1^2)", 1), grid, h).matrix
+    assert np.array_equal(W, as_complex)
+    assert np.abs(expr - W).max() <= 1e-15 * np.abs(W).max()
+
+
+@pytest.mark.parametrize("n, pad, dt", [(128, 63, 7 / 64), (64, 612, 0.025 * np.pi / 7),
+                                         (1, 0, 0.5), (3, 1, 0.3)])
+def test_gaussian_band_matches_the_row_loop(n, pad, dt):
+    from pspeclab.quantize import _gaussian_band
+
+    g = dt / math.sqrt(math.pi) * np.exp(-(dt * np.arange(-pad, pad + 1)) ** 2)
+    ref = np.zeros((n, n + 2 * pad))
+    for i in range(n):
+        ref[i, i:i + 2 * pad + 1] = g
+    assert _gaussian_band(n, pad, dt).tobytes() == ref.tobytes()
 
 
 def test_wick_lattice_rejects_non_finite_padding():

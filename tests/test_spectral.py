@@ -586,6 +586,44 @@ def test_limiter_without_setters_is_a_recorded_no_op():
         assert threads is None
 
 
+def _threads_at_each_call(monkeypatch, owner, name, libs):
+    """Replace owner.name with a spy that records the fake BLAS thread
+    count each call runs at."""
+    seen, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        seen.append(libs[0].threads)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+def test_fbi_product_runs_on_one_thread(monkeypatch):
+    from pspeclab import quantize
+
+    libs, controls = _fakes(2, 2)
+    monkeypatch.setattr(_blas, "_find_controls", lambda: controls)
+    seen = _threads_at_each_call(monkeypatch, np, "matmul", libs)
+    quantize._fbi_calibration.cache_clear()
+    grid, h = FourierGrid(8.0, 1024), 0.05
+    u = np.exp(-grid.points_1d() ** 2 / (2 * h))
+    quantize.fbi_transform(u, grid, h, np.linspace(-2, 2, 81),
+                           np.linspace(-2, 2, 81))
+    # the calibration's product and the transform's own
+    assert seen == [1, 1]
+    assert [lib.threads for lib in libs] == [2, 2]
+
+
+def test_hermiticity_defect_runs_on_one_thread(monkeypatch):
+    libs, controls = _fakes(2, 2)
+    monkeypatch.setattr(_blas, "_find_controls", lambda: controls)
+    seen = _threads_at_each_call(monkeypatch, np.linalg, "norm", libs)
+    OperatorMatrix(np.eye(144, dtype=complex), 0.1, None).hermiticity_defect()
+    assert seen == [1, 1]
+    assert [lib.threads for lib in libs] == [2, 2]
+
+
 def test_limiter_sets_the_loaded_openblas_copies():
     controls = _blas._find_controls()
     if not controls:
