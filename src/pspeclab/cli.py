@@ -2,8 +2,9 @@
 
 Every key a subcommand accepts is declared once in `_SCHEMA`, with the
 check of its type and range and its default.  `_load_config` applies
-the table before any numerics runs: unknown, missing and malformed keys
-and config files that cannot be read as a JSON object are config errors.
+the table, then one size budget (_check_budget), before any numerics
+runs: unknown, missing, malformed and over-budget keys and config files
+that cannot be read as a JSON object are config errors.
 Every run writes its artifacts plus a manifest.json echoing the resolved
 config (defaults included) and the sha256 of each artifact.  Exit codes:
 0 success, 2 config error, 3 numerical failure or any other exception
@@ -37,15 +38,19 @@ from .quantize import (
 )
 from .quasimodes import _grid_for_beam, build_quasimode, localization_report, \
     residual_sweep
-from .repro import rational_resolvent_experiment, resolvent_decay_experiment, \
-    run_reproduction_suite, subelliptic_experiment
-from .spectral import contour_extract, eigendecompose, pseudospectrum_grid, \
-    scaling_fit
+from .repro import rational_order, rational_resolvent_experiment, \
+    resolvent_decay_experiment, run_reproduction_suite, subelliptic_experiment
+from .spectral import EIG_SIZE_CAP, contour_extract, eigendecompose, \
+    pseudospectrum_grid, scaling_fit
 from .symbols import parse_symbol
 from .weights import conjugate_operator, dissipative_build, \
     dissipative_resolvent_check, escape_weight
 
 DEFAULT_SEED = 2024
+# the size budget (see _check_budget): every operator a run builds has an
+# order of at most EIG_SIZE_CAP, the largest eigendecompose accepts, and
+# every grid of nodes or phase-space points at most NODE_BUDGET entries
+NODE_BUDGET = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +267,58 @@ _SCHEMA = {
 }
 
 
+def _power(base, exp, cap):
+    """base ** exp for integers base, exp >= 1, or cap + 1 as soon as the
+    product passes cap, so no huge integer is formed."""
+    out = 1
+    for _ in range(exp if base > 1 else 0):
+        out *= base
+        if out > cap:
+            return cap + 1
+    return out
+
+
+def _scaling_order(cfg):
+    """(key, the largest operator order the scaling experiment builds): M for
+    subelliptic and resolvent-decay, the order rational_resolvent_experiment
+    takes at its smallest h otherwise."""
+    if cfg["experiment"] != "rational":
+        return "M", cfg["M"]
+    box = {} if cfg["L"] is None else {"L": cfg["L"]}
+    try:
+        return "h_list", rational_order(min(cfg["h_list"]), **box)
+    except OverflowError:                # the order is not finite
+        return "h_list", EIG_SIZE_CAP + 1
+
+
+def _check_budget(command, cfg):
+    """The one size rule, applied to a checked config before any numerics:
+    an operator of order above EIG_SIZE_CAP, or a grid of more than
+    NODE_BUDGET nodes, is a config error, not an allocation that may
+    exhaust the memory and end the run with no manifest."""
+    if command == "scaling":
+        orders = [_scaling_order(cfg)]
+    elif "M" in cfg:
+        orders = [("M", _power(cfg["M"], cfg["dim"], EIG_SIZE_CAP))]
+    else:
+        orders = []
+    nodes = []
+    if "shape" in cfg:
+        nodes.append(("shape", cfg["shape"][0] * cfg["shape"][1]))
+    if "res" in cfg:                     # res points along each of 2 dim axes
+        nodes.append(("res", _power(cfg["res"], 2 * cfg["dim"], NODE_BUDGET)))
+    if "out_points" in cfg:
+        nodes.append(("out_points", cfg["out_points"] ** 2))
+    for key, order in orders:
+        if order > EIG_SIZE_CAP:
+            raise ConfigError(f"'{key}' asks for an operator of order above "
+                              f"the budget of {EIG_SIZE_CAP}")
+    for key, count in nodes:
+        if count > NODE_BUDGET:
+            raise ConfigError(f"'{key}' asks for more nodes than the "
+                              f"budget of {NODE_BUDGET}")
+
+
 def _load_config(args):
     """Check the subcommand's config (flags override the file) against
     `_SCHEMA`.  Returns (cfg, echo): the typed values the run reads, and
@@ -294,6 +351,7 @@ def _load_config(args):
         except (ConfigError, SymbolSyntaxError, VariableIndexError) as exc:
             raise ConfigError(f"'{key}' {exc}") from exc
         echo[key] = raw[key] if key in raw else cfg[key]
+    _check_budget(args.command, cfg)
     return cfg, echo
 
 

@@ -310,17 +310,34 @@ class _Band:
         return A
 
 
+def _bandwidths(A, most):
+    """(kl, ku), the fewest sub- and super-diagonals that hold every
+    non-zero of the square A, when kl + ku <= most; else None.  The
+    non-zeros of A are counted once, then those of each diagonal pair
+    outward from the main one until the count is reached, so no M x M
+    temporary is made and at most 2 most + 1 diagonals are read."""
+    left = np.count_nonzero(A) - np.count_nonzero(np.diagonal(A))
+    kl = ku = 0
+    for k in range(1, most + 1):
+        if not left:
+            break
+        below, above = (np.count_nonzero(np.diagonal(A, s)) for s in (-k, k))
+        left -= below + above
+        kl, ku = (k if below else kl), (k if above else ku)
+        if kl + ku > most:
+            return None
+    return None if left else (kl, ku)
+
+
 def _tridiagonal_bands(A):
     """The sub-, main and super-diagonal of A when every other entry is
-    an exact zero and the order is at least 3 (LAPACK's gttrf bound for
-    the stacked system of the sigma_min sweep), else None.  Counting the
-    non-zeros makes no M x M temporary."""
-    if A.shape[0] < 3:
+    an exact zero (see _bandwidths) and the order is at least 3
+    (LAPACK's gttrf bound for the stacked system of the sigma_min
+    sweep), else None."""
+    widths = _bandwidths(A, 2) if A.shape[0] >= 3 else None
+    if widths is None or max(widths) > 1:
         return None
-    bands = [np.diagonal(A, k) for k in (-1, 0, 1)]
-    if np.count_nonzero(A) != sum(map(np.count_nonzero, bands)):
-        return None
-    return bands
+    return [np.diagonal(A, k) for k in (-1, 0, 1)]
 
 
 def _tridiagonal_norm(sub, diag, sup):

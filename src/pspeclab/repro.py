@@ -119,12 +119,18 @@ def rational_resolvent_experiment(h_list=(0.05, 0.035, 0.025, 0.018, 0.0125),
     p = parse_symbol(RATIONAL_SECTION3, 1)
     samples = []
     for h in h_list:
-        W = window_scale * h ** (-1.0 / 3.0)
-        M = int(math.ceil(W * L / (math.pi * h)))
-        grid = FourierGrid(L, M)
+        grid = FourierGrid(L, rational_order(h, L, window_scale))
         P = weyl_quantize_grid(p, grid, h, xi_limit=1.0, tail_frac_tol=1.0)
         samples.append((h, resolvent_norm(P, 0.0, method="lu")))
     return scaling_fit(samples, "power"), samples
+
+
+def rational_order(h, L=2.5, window_scale=12.0):
+    """Grid order of rational_resolvent_experiment at h: a dual window of
+    half-width window_scale h^{-1/3} resolved on [-L, L).  Raises
+    OverflowError when h is so small that the order is not finite."""
+    W = window_scale * h ** (-1.0 / 3.0)
+    return int(math.ceil(W * L / (math.pi * h)))
 
 
 def conjugation_identity_experiment(M=60, h=1.0):

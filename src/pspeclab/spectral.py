@@ -13,6 +13,13 @@ Hermite matrix of the rotated oscillator, whose x^2 and xi^2 terms cancel
 off the three diagonals) skips both: each shift gets its own
 O(M) tridiagonal LU factor, and a block of shifts is solved as one
 block-diagonal tridiagonal system.
+
+The direct measure, method="svd" and the fallback of a shift inverse
+Lanczos fails, is an SVD of P - z: a band SVD when every non-zero of P
+lies within a narrow band (zgbbrd's bidiagonal, then one bisection for
+the smallest singular value, O(M^2 (kl + ku))), the dense O(M^3) one
+otherwise.  force_svd grids always take the dense SVD, the reference
+the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._blas import single_thread_below
+from ._blas import band_bidiagonal, band_bidiagonal_found, single_thread_below
 from .errors import ConvergenceError, PspecError
-from .quantize import OperatorMatrix, _tridiagonal_bands
+from .quantize import OperatorMatrix, _bandwidths, _tridiagonal_bands
 
 __all__ = [
     "SpectrumReport",
@@ -105,6 +112,9 @@ _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
 _STACK_ENTRIES = 1 << 15  # the same cap when each shift keeps its own factor
 _RITZ_BACKWARD = 1e-2 * SIGMA_TOL  # backward error the Ritz recurrence may keep
+# the band SVD beat the dense one (both on one thread) wherever
+# kl + ku <= M // _BAND_RATIO, on a table of M = 64..800, kl = ku = 1..16
+_BAND_RATIO = 16
 
 
 def _shifted(A, z):
@@ -118,7 +128,46 @@ def _shifted(A, z):
 
 
 def _sigma_min_svd(A, z):
+    """sigma_min(A - z) by a direct SVD: the band kernel when every
+    non-zero of A lies within kl sub- and ku super-diagonals with
+    kl + ku <= M // _BAND_RATIO and zgbbrd is bound, else the dense one."""
+    widths = (_bandwidths(A, A.shape[0] // _BAND_RATIO)
+              if band_bidiagonal_found() else None)
+    if widths is None:
+        return _sigma_min_dense(A, z)
+    return _sigma_min_band(A, z, *widths)
+
+
+def _sigma_min_dense(A, z):
     return float(scipy.linalg.svdvals(_shifted(A, z), overwrite_a=True)[-1])
+
+
+def _sigma_min_band(A, z, kl, ku):
+    """sigma_min(A - z) for A with kl sub- and ku super-diagonals.
+    zgbbrd reduces the band storage of A - z, built from the diagonals,
+    to a real upper bidiagonal B = (d, e) with the same singular values
+    (Golub & Kahan, SIAM J. Numer. Anal. B 2 (1965) 205-224), at O(M^2
+    (kl + ku)).  The order-2M Golub-Kahan tridiagonal, zero diagonal and
+    off-diagonal (d_1, e_1, d_2, ..., d_M), has eigenvalues +-sigma_i(B),
+    and dstebz bisects for the (M + 1)-th, the smallest non-negative one,
+    to high relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput.
+    11 (1990) 873-912).  Neither routine calls a threaded BLAS kernel."""
+    M = A.shape[0]
+    ab = np.zeros((kl + ku + 1, M), dtype=complex, order="F")
+    for s in range(-kl, ku + 1):
+        ab[ku - s, max(s, 0):M + min(s, 0)] = np.diagonal(A, s)
+    ab[ku] -= z
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    d, e = band_bidiagonal(ab, kl, ku)
+    off = np.empty(2 * M - 1)
+    off[0::2], off[1::2] = d, e
+    _, w, _, _, info = scipy.linalg.lapack.dstebz(
+        np.zeros(2 * M), off, 2, 0.0, 0.0, M + 1, M + 1,
+        2 * np.finfo(float).tiny, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz returned info = {info}")
+    return float(abs(w[0]))
 
 
 def _schur_T(A):
@@ -392,12 +441,13 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
                    method: str = "auto"):
     """sigma_min(P - z I) = 1 / ||(P - z)^{-1}||.
 
-    method "svd" is the reference path.  The others run inverse
-    Lanczos: "auto" and "lu" on an LU factor of P - z (the O(M)
-    tridiagonal one when P is exactly tridiagonal), falling back to the
-    SVD on failure; "schur" on a complex Schur factor, raising
-    ConvergenceError instead.  For one z the LU factor costs a fraction
-    of the Schur form.
+    method "svd" is a direct SVD of P - z: the band SVD when P is a band
+    matrix with kl + ku <= M // _BAND_RATIO (see _sigma_min_band), the
+    dense one otherwise.  The others run inverse Lanczos: "auto" and
+    "lu" on an LU factor of P - z (the O(M) tridiagonal one when P is
+    exactly tridiagonal), falling back to that SVD on failure; "schur"
+    on a complex Schur factor, raising ConvergenceError instead.  For
+    one z the LU factor costs a fraction of the Schur form.
     """
     if method not in ("svd", "auto", "lu", "schur"):
         raise ValueError(f"unknown resolvent_norm method {method!r}; "
@@ -439,11 +489,12 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     tridiagonal P, one tridiagonal LU factor per node (timing["factor"]
     names which, None with force_svd); the nodes advance together
     through the blocked inverse Lanczos, whose Ritz step computes no
-    eigenvectors (see _top_ritz), and nodes that fail it fall
-    back to a full SVD (count logged in timing).  The step
-    histogram is timing["sigma_steps"]: entry k counts the nodes that
-    stopped after k + 1 steps (empty with force_svd).  force_svd takes
-    the SVD at every node.  Values below the floor FLOOR_FACTOR * eps *
+    eigenvectors (see _top_ritz), and nodes that fail it fall back to a
+    direct SVD, band or dense as in resolvent_norm(method="svd") (count
+    logged in timing).  The step histogram is timing["sigma_steps"]:
+    entry k counts the nodes that stopped after k + 1 steps (empty with
+    force_svd).  force_svd takes the dense SVD at every node, band
+    matrices included.  Values below the floor FLOOR_FACTOR * eps *
     ||P|| are clamped to it and flagged; ||P|| is P.norm(), which a
     tridiagonal P takes from its bands.  threads is only recorded in timing:
     neither the work nor the output depends on it.  The BLAS thread
@@ -463,7 +514,7 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
         t0 = time.perf_counter()
         if force_svd:
             kind, t_factor = None, 0.0
-            sigma = np.array([_sigma_min_svd(A, z) for z in zs])
+            sigma = np.array([_sigma_min_dense(A, z) for z in zs])
             failed, steps = [], np.zeros(0, int)
         else:
             kind, factor, entries = _factor(A)

@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from pspeclab.artifacts import (
     write_csv,
     write_pgm,
 )
+from pspeclab import cli, repro
 from pspeclab.cli import main, make_parser
+from pspeclab.errors import ConfigError
 from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
@@ -272,6 +275,75 @@ def test_malformed_config_exits_2(tmp_path, name, key, value):
     assert run_cli([cmd, "--config", str(path), "--out", str(out)]) == 2
     man = _assert_failed_cleanly(out, "ConfigError")
     assert f"'{key}'" in man["error"]     # the named key, not another one
+
+
+ROT2 = "xi1^2+xi2^2+x1^2+x2^2+xi1*1i"
+
+
+@pytest.mark.parametrize("name, changes, key", [
+    ("psgrid", {"M": 20000}, "M"),                   # a 6.4 GB matrix
+    ("quantize", {"M": 65, "dim": 2, "symbol": ROT2}, "M"),     # 4225
+    ("spectrum", {"M": 2, "dim": 13, "symbol": "xi1^2+x13^2"}, "M"),
+    ("dissipative", {"M": 4097}, "M"),
+    ("conjugate", {"M": 10 ** 9}, "M"),
+    ("psgrid", {"shape": [257, 256]}, "shape"),
+    ("classify", {"res": 257}, "res"),
+    ("classify", {"res": 17, "dim": 2, "symbol": ROT2,
+                  "box": [[-1, 1]] * 4}, "res"),    # 17^4 points
+    ("fbi", {"out_points": 257}, "out_points"),
+    ("scaling", {"M": 5000}, "M"),
+    ("scaling-decay", {"M": 4097}, "M"),
+    # the rational grid's order grows like h^(-4/3): 4432 at h = 0.01
+    ("scaling-rational", {"h_list": [0.05, 0.01]}, "h_list"),
+    ("scaling-rational", {"h_list": [0.05, 0.0125], "L": 3.5}, "h_list"),
+    ("scaling-rational", {"h_list": [0.1, 1e-300]}, "h_list"),
+], ids=lambda v: "+".join(v) if isinstance(v, dict) else None)
+def test_config_over_the_size_budget_exits_2_without_allocating(
+        tmp_path, name, changes, key):
+    rational = {"experiment": "rational", "h_list": [0.4, 0.3, 0.2, 0.1]}
+    cfg = {**VALID.get(name, rational), **changes}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "big"
+    tracemalloc.start()
+    try:
+        code = run_cli([name.split("-")[0], "--config", str(path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 10 ** 6
+    man = _assert_failed_cleanly(out, "ConfigError")
+    assert f"'{key}'" in man["error"] and "budget" in man["error"]
+
+
+def test_size_budget_edges():
+    # at the budget a config is accepted, one past it refused; the
+    # operator budget is the order eigendecompose accepts
+    from pspeclab.spectral import EIG_SIZE_CAP
+    assert cli.EIG_SIZE_CAP is EIG_SIZE_CAP
+    base = {"dim": 1, "M": 4096}
+    cli._check_budget("psgrid", {**base, "shape": [256, 256]})
+    cli._check_budget("quantize", {"dim": 2, "M": 64})
+    cli._check_budget("classify", {"dim": 1, "res": 256})
+    cli._check_budget("fbi", {"out_points": 256})
+    for command, cfg in (("psgrid", {**base, "M": 4097, "shape": [2, 2]}),
+                         ("psgrid", {**base, "shape": [256, 257]}),
+                         ("quantize", {"dim": 3, "M": 17}),
+                         ("classify", {"dim": 1, "res": 257}),
+                         ("fbi", {"out_points": 257})):
+        with pytest.raises(ConfigError, match="budget"):
+            cli._check_budget(command, cfg)
+    assert cli._power(10 ** 9, 10 ** 9, 4096) == 4097
+    assert cli._power(1, 10 ** 9, 4096) == 1 and cli._power(2, 12, 4096) == 4096
+
+
+def test_the_scaling_criteria_fit_the_size_budget():
+    # criterion 5's default rational run reaches M=3292 at h = 0.0125
+    assert repro.rational_order(0.0125) == 3292 <= cli.EIG_SIZE_CAP
+    cfg = {"experiment": "rational", "L": None,
+           "h_list": [0.05, 0.035, 0.025, 0.018, 0.0125]}
+    assert cli._scaling_order(cfg) == ("h_list", 3292)
+    cli._check_budget("scaling", cfg)
 
 
 @pytest.mark.parametrize("name, key, value", [

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
     OperatorMatrix,
+    _bandwidths,
     _mccoy_1d,
     _tridiagonal_bands,
     fbi_transform,
@@ -831,3 +833,40 @@ def test_norm_off_the_bands_is_the_dense_svd_bytes():
         norm = OperatorMatrix(A, 0.1, None).norm()
         assert norm.hex() == float(np.linalg.norm(A, 2)).hex()
 
+
+
+def test_bandwidths_are_the_tightest_band():
+    rng = np.random.default_rng(12)
+    for kl, ku in ((0, 0), (1, 3), (3, 1), (0, 2), (2, 2), (5, 0)):
+        A = np.zeros((40, 40), dtype=complex)
+        for s in range(-kl, ku + 1):
+            A += np.diag(rng.standard_normal(40 - abs(s)) + 1j, s)
+        assert _bandwidths(A, kl + ku) == (kl, ku)
+        assert _bandwidths(A, 39) == (kl, ku)
+        if kl + ku:
+            assert _bandwidths(A, kl + ku - 1) is None
+        B = A.copy()
+        B[39, 0] = 1e-300                      # one entry off the band
+        assert _bandwidths(B, 39 + ku) == (39, ku)
+        assert _bandwidths(B, 38 + ku) is None
+    # zeros inside the band do not narrow it, exact zeros outside do not
+    # widen it; a Hermite matrix of x^4 has offsets 0, +-2 and +-4
+    quartic = weyl_quantize_poly(parse_symbol("xi1^2 + x1^4", 1), HermiteBasis(30), 0.1)
+    assert _bandwidths(quartic.matrix, 8) == (4, 4)
+    assert _bandwidths(np.zeros((6, 6)), 0) == (0, 0)
+    # the tridiagonal test is the band test at kl = ku = 1
+    upper2 = np.diag(np.ones(5)) + np.diag(np.ones(3), 2)
+    assert _bandwidths(upper2, 2) == (0, 2) and _tridiagonal_bands(upper2) is None
+
+
+def test_bandwidths_make_no_square_temporary():
+    band = weyl_quantize_poly(ROT, HermiteBasis(800), 0.05).matrix   # 10 MB
+    dense = np.ones((800, 800))                                       # 5 MB
+    tracemalloc.start()
+    try:
+        assert _bandwidths(band, 800 // 16) == (1, 1)
+        assert _bandwidths(dense, 50) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5

@@ -28,6 +28,7 @@ from pspeclab.spectral import (
     scaling_fit,
 )
 from pspeclab.symbols import parse_symbol
+from pspeclab.weights import dissipative_build
 
 ROT = parse_symbol("xi1^2 + xi1*1i + x1^2", 1)
 OSC = parse_symbol("xi1^2 + x1^2", 1)
@@ -483,6 +484,16 @@ for M, h, shape in ((200, 0.05, (101, 81)), (400, 0.025, (26, 21))):
     if M == 400:
         runs["400_nodes"] = {"sigma": g.sigma.ravel().tolist(),
                              "floored": g.floored.ravel().tolist()}
+# the band SVD at M=400, on the tridiagonal rotated oscillator and the
+# pentadiagonal Davies oscillator: the widths it ran at and its values
+runs["band"] = {}
+for name, symbol in (("rotated", "xi1^2 + xi1*1i + x1^2"),
+                     ("davies", "xi1^2 + 1i*x1^2")):
+    A = weyl_quantize_poly(parse_symbol(symbol, 1), HermiteBasis(400), 0.025).matrix
+    runs["band"][name] = {
+        "widths": spectral._bandwidths(A, 400 // spectral._BAND_RATIO),
+        "sigma": [spectral.resolvent_norm(A, z, method="svd").hex()
+                  for z in (2 + 1j, 0.5 + 0.3j, 3.0 - 0.2j, 1.0)]}
 print(json.dumps(runs))
 """
 
@@ -528,6 +539,15 @@ def test_tridiagonal_sweep_above_the_crossover_does_not_depend_on_blas_threads(
     assert sum(one["floored"]) > 0
     assert one == two
     assert blas_thread_runs[0]["400"]["sigma"] == blas_thread_runs[1]["400"]["sigma"]
+
+
+def test_band_svd_does_not_depend_on_blas_threads(blas_thread_runs):
+    # zgbbrd and dstebz call no threaded BLAS kernel: at M=400 the band
+    # SVD keeps its bytes under 1 and 2 threads
+    one, two = (run["band"] for run in blas_thread_runs)
+    assert one["rotated"]["widths"] == [1, 1]
+    assert one["davies"]["widths"] == [2, 2]
+    assert one == two
 
 
 class _FakeBlas:
@@ -876,3 +896,181 @@ def test_contour_encloses_spectrum():
             continue
         node = np.unravel_index(np.abs(Z - lam).argmin(), Z.shape)
         assert grid.sigma[node] < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the band SVD behind method="svd"
+
+def _band_matrix(M, kl, ku, seed):
+    rng = np.random.default_rng(seed)
+    A = np.zeros((M, M), dtype=complex)
+    for s in range(-kl, ku + 1):
+        n = M - abs(s)
+        A += np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n), s)
+    return A
+
+
+def _seeded_shifts(seed, count):
+    rng = np.random.default_rng(seed)
+    return list(rng.uniform(-0.5, 3.0, count) + 1j * rng.uniform(-1.0, 1.5, count))
+
+
+def _davies_P():
+    return dissipative_build(parse_symbol("xi1^2+xi2^2+x1^2", 2),
+                             parse_symbol("x2^2", 2), HermiteBasis(12, n=2),
+                             0.1).P.matrix
+
+
+def _bidiagonal_on_its_eigenvalue():
+    # upper bidiagonal with 0.7 on its diagonal: A - 0.7 is singular
+    A = _band_matrix(96, 0, 1, seed=4)
+    A[40, 40] = 0.7
+    return A
+
+
+_BAND_CASES = {
+    "rotated M=60": (lambda: weyl_quantize_poly(ROT, HermiteBasis(60), 0.1).matrix,
+                     (1, 1), _seeded_shifts(21, 6)),
+    "rotated M=200": (lambda: weyl_quantize_poly(ROT, HermiteBasis(200), 0.05).matrix,
+                      (1, 1), [2 + 1j] + _seeded_shifts(22, 6)),
+    "davies": (_davies_P, (2, 2), _seeded_shifts(23, 8)),
+    "asymmetric band": (lambda: _band_matrix(96, 1, 3, seed=5), (1, 3),
+                        _seeded_shifts(24, 6)),
+    "real": (lambda: weyl_quantize_poly(parse_symbol("xi1^2 + x1^4", 1),
+                                        HermiteBasis(144), 0.1).matrix.real.copy(),
+             (4, 4), [0.7, -0.2, 2.5]),
+    "on an eigenvalue": (_bidiagonal_on_its_eigenvalue, (0, 1), [0.7]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_CASES))
+def test_band_svd_is_the_dense_svd(monkeypatch, name):
+    # the band kernel against scipy's dense SVD of A - z, to 1e-12
+    # relative plus the 2 eps ||A|| a backward-stable SVD may be off by
+    build, widths, shifts = _BAND_CASES[name]
+    A = build()
+    band = []
+    monkeypatch.setattr(spectral, "_sigma_min_band",
+                        _recording(spectral._sigma_min_band, band))
+    bound = 2 * np.finfo(float).eps * np.linalg.norm(A, 2)
+    for z in shifts:
+        sigma = resolvent_norm(A, z, method="svd")
+        ref = scipy.linalg.svdvals(A - z * np.eye(A.shape[0]))[-1]
+        assert abs(sigma - ref) <= 1e-12 * ref + bound, (z, sigma, ref)
+    assert [call[2:] for call in band] == [widths] * len(shifts)
+    if name == "on an eigenvalue":
+        assert sigma <= bound
+
+
+def _recording(fn, calls):
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+    return spy
+
+
+@pytest.mark.parametrize("symbol, widths", [("xi1^2 + xi1*1i + x1^2", (1, 1)),
+                                            ("xi1^2 + 1i*x1^2", (2, 2))])
+def test_band_svd_meets_a_40_digit_svd(symbol, widths):
+    # a tri- and a pentadiagonal Hermite matrix at M=24 against mpmath's
+    # complex SVD at 40 digits; the dense kernel for comparison
+    mpmath = pytest.importorskip("mpmath")
+    A = weyl_quantize_poly(parse_symbol(symbol, 1), HermiteBasis(24), 0.1).matrix
+    assert spectral._bandwidths(A, 24) == widths
+    bound = 2 * np.finfo(float).eps * np.linalg.norm(A, 2)
+    for z in (0.9 + 0.4j, 2.0 + 1.0j):
+        B = A - z * np.eye(24)
+        with mpmath.workdps(40):
+            exact = min(mpmath.svd_c(mpmath.matrix(B.tolist()), compute_uv=False))
+            exact = float(exact)
+        assert abs(spectral._sigma_min_band(A, z, *widths) - exact) <= bound
+        assert abs(spectral._sigma_min_dense(A, z) - exact) <= bound
+
+
+def test_band_svd_rejects_non_finite_bands():
+    A = weyl_quantize_poly(ROT, HermiteBasis(60), 0.1).matrix.copy()
+    A[7, 8] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        resolvent_norm(A, 0.5 + 0.5j, method="svd")
+
+
+def _refuse(*args):
+    raise AssertionError("band SVD called")
+
+
+def test_forced_svd_grid_stays_dense(monkeypatch):
+    # the independent reference of criterion 14 never takes the band kernel
+    op = weyl_quantize_poly(ROT, HermiteBasis(200), 0.05)
+    dense = []
+    monkeypatch.setattr(spectral, "_sigma_min_dense",
+                        _recording(spectral._sigma_min_dense, dense))
+    monkeypatch.setattr(spectral, "_sigma_min_band", _refuse)
+    grid = pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (3, 2), force_svd=True)
+    assert len(dense) == 6 and grid.timing["force_svd"]
+
+
+def test_sweep_fallbacks_take_the_band_svd(monkeypatch):
+    # the nodes 0.3 and 0.7 on the diagonal oscillator fail inverse
+    # Lanczos (see test_grid_nodes_match_single_shift); their SVDs are band
+    op = weyl_quantize_poly(OSC, HermiteBasis(64), h=0.1)
+    band = []
+    monkeypatch.setattr(spectral, "_sigma_min_band",
+                        _recording(spectral._sigma_min_band, band))
+    monkeypatch.setattr(spectral, "_sigma_min_dense", _refuse)
+    grid = pseudospectrum_grid(op, (0.3, 0.7, -0.2, 0.2), (5, 5))
+    assert grid.timing["factor"] == "tridiagonal"
+    assert grid.timing["svd_fallbacks"] == 2
+    assert sorted(complex(call[1]).real for call in band) == [0.3, 0.7]
+    assert all(call[2:] == (0, 0) for call in band)
+
+
+def test_dense_operator_svd_keeps_its_bytes(monkeypatch):
+    # a grid-basis operator has no band: method="svd" is the dense SVD,
+    # with the bytes it had before the band kernel existed
+    op = weyl_quantize_grid(ROT, FourierGrid(2.5, 64), 0.1, xi_limit=1.0,
+                            tail_frac_tol=1.0)
+    monkeypatch.setattr(spectral, "_sigma_min_band", _refuse)
+    assert resolvent_norm(op, 0.45 + 0.1j, method="svd").hex() == "0x1.12e986e37fd5cp-8"
+
+
+@pytest.fixture
+def no_zgbbrd_capsule(monkeypatch):
+    """scipy's cython_lapack without its zgbbrd capsule, the binding
+    looked up again; the cached binding is dropped on both sides."""
+    from scipy.linalg import cython_lapack
+    capi = {k: v for k, v in cython_lapack.__pyx_capi__.items() if k != "zgbbrd"}
+    _blas._zgbbrd.cache_clear()
+    monkeypatch.setattr(cython_lapack, "__pyx_capi__", capi)
+    yield
+    monkeypatch.undo()
+    _blas._zgbbrd.cache_clear()
+
+
+def test_band_matrices_take_the_dense_svd_without_the_capsule(no_zgbbrd_capsule,
+                                                              monkeypatch):
+    assert not _blas.band_bidiagonal_found()
+    monkeypatch.setattr(spectral, "_sigma_min_band", _refuse)
+    A = weyl_quantize_poly(ROT, HermiteBasis(200), 0.05).matrix
+    with _blas.single_thread_below(200):        # as resolvent_norm runs it
+        dense = spectral._sigma_min_dense(A, 2 + 1j)
+    assert resolvent_norm(A, 2 + 1j, method="svd") == dense
+
+
+def test_band_bidiagonal_rejects_bad_storage_and_reports_info():
+    A = _band_matrix(40, 1, 1, seed=6)
+    ab = np.zeros((3, 40), dtype=complex)               # C order
+    with pytest.raises(ValueError, match="Fortran"):
+        _blas.band_bidiagonal(ab, 1, 1)
+    with pytest.raises(ValueError, match="kl \\+ ku \\+ 1"):
+        _blas.band_bidiagonal(np.zeros((3, 40), complex, order="F"), 2, 1)
+    # kl < 0 is LAPACK's argument 5: zgbbrd returns info = -5
+    with pytest.raises(np.linalg.LinAlgError, match="info = -5"):
+        _blas.band_bidiagonal(np.zeros((3, 40), complex, order="F"), -1, 3)
+    # the bidiagonal keeps the singular values
+    ab = np.zeros((3, 40), dtype=complex, order="F")
+    for s in (-1, 0, 1):
+        ab[1 - s, max(s, 0):40 + min(s, 0)] = np.diagonal(A, s)
+    d, e = _blas.band_bidiagonal(ab, 1, 1)
+    B = np.diag(d) + np.diag(e, 1)
+    assert np.allclose(scipy.linalg.svdvals(B), scipy.linalg.svdvals(A),
+                       rtol=0, atol=1e-13 * np.linalg.norm(A, 2))
