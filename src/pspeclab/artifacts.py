@@ -31,6 +31,8 @@ __all__ = [
     "escape_weight_to_json",
 ]
 
+PGM_LEVELS = 255          # gray levels of every PGM heatmap
+
 
 def _fmt(x) -> str:
     if type(x) is float:        # the common case, ahead of the ladder
@@ -79,22 +81,22 @@ def write_csv(path, header, rows):
     return path
 
 
-def write_pgm(path, values, sidecar_path=None, levels=255):
+def write_pgm(path, values, sidecar_path=None):
     """Plain (P2) PGM of a real field with an affine value-to-gray map
     recorded in a JSON sidecar."""
     path = Path(path)
     v = np.asarray(values, dtype=float)
     lo, hi = float(np.nanmin(v)), float(np.nanmax(v))
     span = hi - lo if hi > lo else 1.0
-    gray = np.round((v - lo) / span * levels).astype(int)
+    gray = np.round((v - lo) / span * PGM_LEVELS).astype(int)
     with path.open("w") as f:
         f.write("P2\n")
-        f.write(f"{v.shape[1]} {v.shape[0]}\n{levels}\n")
+        f.write(f"{v.shape[1]} {v.shape[0]}\n{PGM_LEVELS}\n")
         for row in gray:
             f.write(" ".join(str(g) for g in row) + "\n")
     if sidecar_path is not None:
         write_json(sidecar_path, {"value_min": lo, "value_max": hi,
-                                  "levels": levels,
+                                  "levels": PGM_LEVELS,
                                   "mapping": "gray = round((v - min)/(max - min) * levels)"})
     return path
 

@@ -81,11 +81,10 @@ class BracketReport:
         return self.values[tuple(word)]
 
 
-def repeated_brackets(p: SymbolExpr, z0: complex, w, j_max: int,
-                      rel_tol: float = BRACKET_TOL) -> BracketReport:
+def repeated_brackets(p: SymbolExpr, z0: complex, w, j_max: int) -> BracketReport:
     """All bracket values p_I, |I| <= j_max, from one degree-(j_max+1) jet.
 
-    The vanishing tolerance is rel_tol times the largest bracket
+    The vanishing tolerance is BRACKET_TOL times the largest bracket
     magnitude seen at the point (symbols are not normalized).
     """
     if j_max < 1:
@@ -111,7 +110,7 @@ def repeated_brackets(p: SymbolExpr, z0: complex, w, j_max: int,
             values[word] = bracket_jet(word).value()
 
     max_mag = max(abs(v) for v in values.values())
-    tol = rel_tol * max(1.0, max_mag)
+    tol = BRACKET_TOL * max(1.0, max_mag)
 
     order = 0
     for k in range(1, j_max + 1):
@@ -128,8 +127,7 @@ def repeated_brackets(p: SymbolExpr, z0: complex, w, j_max: int,
                          tol, max_mag)
 
 
-def finite_type_order(p: SymbolExpr, z0: complex, samples, j_max: int,
-                      level_tol: float = None):
+def finite_type_order(p: SymbolExpr, z0: complex, samples, j_max: int):
     """Order of the value z0: max of k(w) over level-set samples.
 
     Returns (k, parity) where parity is "even" or "odd".  Raises if the
@@ -139,8 +137,7 @@ def finite_type_order(p: SymbolExpr, z0: complex, samples, j_max: int,
     samples = [np.asarray(s, dtype=float) for s in samples]
     if not samples:
         raise PspecError("finite_type_order needs at least one level-set sample")
-    if level_tol is None:
-        level_tol = LEVEL_TOL * max(1.0, abs(z0))
+    level_tol = LEVEL_TOL * max(1.0, abs(z0))
     orders = []
     for w in samples:
         val = p.eval(w)

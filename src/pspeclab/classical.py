@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BRACKET_TOL, real_bracket_values
+from .brackets import BRACKET_TOL, LEVEL_TOL, real_bracket_values
 from .errors import ContourError, DegenerateValueError, PspecError
 from .symbols import SymbolExpr, _check_finite
 
@@ -145,8 +145,7 @@ class SigmaInfinity:
     cluster_tol: float
 
 
-def sigma_infinity(p: SymbolExpr, radii, n_dirs: int = 720,
-                   cluster_tol: float = None, divergence: float = 1e6) -> SigmaInfinity:
+def sigma_infinity(p: SymbolExpr, radii, divergence: float = 1e6) -> SigmaInfinity:
     """Approximate the limit set of p at phase-space infinity.
 
     Samples p on spheres |w| = R.  A direction contributes a candidate
@@ -156,16 +155,15 @@ def sigma_infinity(p: SymbolExpr, radii, n_dirs: int = 720,
     radii = sorted(float(r) for r in radii)
     if len(radii) < 3:
         raise ValueError("need at least 3 radii")
-    dirs = _sphere_directions(2 * p.n, n_dirs)
+    dirs = _sphere_directions(2 * p.n, 720)
     vals = []
     for R in radii[-2:]:
         coords = [R * dirs[:, k] for k in range(2 * p.n)]
         vals.append(p.eval_grid(coords))
     v1, v2 = vals  # second-largest, largest radius
-    if cluster_tol is None:
-        finite = np.isfinite(v2)
-        scale = np.median(np.abs(v2[finite])) if finite.any() else 1.0
-        cluster_tol = 1e-2 * max(1.0, scale)
+    finite = np.isfinite(v2)
+    scale = np.median(np.abs(v2[finite])) if finite.any() else 1.0
+    cluster_tol = 1e-2 * max(1.0, scale)
     big = (~np.isfinite(v1)) | (~np.isfinite(v2)) | (np.abs(v2) > divergence)
     # compare only where both values are finite (inf - inf is nan)
     settled = ~big
@@ -186,9 +184,7 @@ def _sphere_directions(dim, count):
 # ---------------------------------------------------------------------------
 # winding number
 
-def winding_number(p: SymbolExpr, z: complex, R: float,
-                   initial: int = 64, max_rounds: int = 24,
-                   clearance_tol: float = 1e-9):
+def winding_number(p: SymbolExpr, z: complex, R: float):
     """Index of p - z along the circle |w| = R, oriented positively for
     the symplectic area form (parametrized (x, xi) = (R sin t, R cos t)).
 
@@ -197,12 +193,12 @@ def winding_number(p: SymbolExpr, z: complex, R: float,
     """
     if p.n != 1:
         raise PspecError("winding_number is a 1-D operation")
-    theta = np.linspace(0.0, 2 * np.pi, initial + 1)
+    theta = np.linspace(0.0, 2 * np.pi, 65)
     vals = _circle_values(p, z, R, theta)
     scale = np.abs(vals).max()
     rounds = 0
     while True:
-        if np.abs(vals).min() <= clearance_tol * max(1.0, scale):
+        if np.abs(vals).min() <= 1e-9 * max(1.0, scale):
             raise ContourError(
                 f"p - z vanishes on the contour |w| = {R} (min |p-z| = "
                 f"{np.abs(vals).min():.3e})")
@@ -211,7 +207,7 @@ def winding_number(p: SymbolExpr, z: complex, R: float,
         if not bad.any():
             break
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > 24:
             raise ContourError("arc refinement did not converge")
         mids = 0.5 * (theta[:-1][bad] + theta[1:][bad])
         theta = np.sort(np.concatenate([theta, mids]))
@@ -250,9 +246,8 @@ class LevelSet:
         return len(self.solutions)
 
 
-def solve_level_set(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 12,
-                    level_tol: float = None, max_iter: int = 60,
-                    bracket_tol: float = None) -> LevelSet:
+def solve_level_set(p: SymbolExpr, z: complex, box,
+                    seeds_per_axis: int = 12) -> LevelSet:
     """Newton (n = 1) or Gauss-Newton (n = 2) search for p(w) = z.
 
     All seeds iterate in a single vectorized batch; converged roots are
@@ -265,9 +260,7 @@ def solve_level_set(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 12,
     if len(box) != 2 * p.n:
         raise ValueError(f"box needs {2 * p.n} coordinate ranges")
     z = complex(z)
-    scale = max(1.0, abs(z))
-    if level_tol is None:
-        level_tol = 1e-8 * scale
+    level_tol = LEVEL_TOL * max(1.0, abs(z))
     diam = float(np.linalg.norm([hi - lo for lo, hi in box]))
     dedupe = 1e-6 * diam
 
@@ -280,7 +273,7 @@ def solve_level_set(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 12,
     margin = 0.5 * (hi - lo)
 
     alive = np.ones(len(w), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(60):
         if not alive.any():
             break
         coords = [w[alive][:, k] for k in range(2 * p.n)]
@@ -316,8 +309,7 @@ def solve_level_set(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 12,
     else:
         brk = np.zeros(0)
         res_k = np.zeros(0)
-    if bracket_tol is None:
-        bracket_tol = BRACKET_TOL * max(1.0, float(np.abs(brk).max()) if len(brk) else 1.0)
+    bracket_tol = BRACKET_TOL * max(1.0, float(np.abs(brk).max()) if len(brk) else 1.0)
     signs = np.where(np.abs(brk) <= bracket_tol, 0, np.sign(brk)).astype(int)
     return LevelSet(z, kept, np.asarray(brk, dtype=float), res_k, signs,
                     level_tol, dedupe)
@@ -376,8 +368,7 @@ def _gauss_newton_step(F, J):
     return step
 
 
-def sign_sum(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 24,
-             **kwargs) -> int:
+def sign_sum(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 24) -> int:
     """Sum of sgn {Re p, Im p} over the level set p^{-1}(z), n = 1.
 
     Raises DegenerateValueError when some root carries a vanishing
@@ -385,7 +376,7 @@ def sign_sum(p: SymbolExpr, z: complex, box, seeds_per_axis: int = 24,
     """
     if p.n != 1:
         raise PspecError("sign_sum is a 1-D operation")
-    ls = solve_level_set(p, z, box, seeds_per_axis, **kwargs)
+    ls = solve_level_set(p, z, box, seeds_per_axis)
     if (ls.bracket_signs == 0).any():
         raise DegenerateValueError(
             f"degenerate value z = {z}: a root has vanishing bracket")

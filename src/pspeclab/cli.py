@@ -295,7 +295,8 @@ def _check_budget(command, cfg):
     """The one size rule, applied to a checked config before any numerics:
     an operator of order above EIG_SIZE_CAP, or a grid of more than
     NODE_BUDGET nodes, is a config error, not an allocation that may
-    exhaust the memory and end the run with no manifest."""
+    exhaust the memory and end the run with no manifest.  A beam grid is
+    nodes, and an operator when residual_sweep makes it a dense matrix."""
     if command == "scaling":
         orders = [_scaling_order(cfg)]
     elif "M" in cfg:
@@ -303,6 +304,19 @@ def _check_budget(command, cfg):
     else:
         orders = []
     nodes = []
+    if "point" in cfg:                   # a beam, built in a few ms
+        key = "h_list" if "h_list" in cfg else "h"
+        h = min(cfg["h_list"]) if key == "h_list" else cfg["h"]
+        qm = build_quasimode(cfg["symbol"], cfg["point"], cfg["order"],
+                             cfg["delta"])
+        try:
+            with np.errstate(over="ignore"):
+                M = _grid_for_beam(qm, h).M
+        except OverflowError:            # the order is not finite
+            M = NODE_BUDGET + 1
+        nodes.append((key, M))
+        if cfg.get("path") == "grid" and cfg["symbol"].polynomial_degree() is None:
+            orders.append((key, M))
     if "shape" in cfg:
         nodes.append(("shape", cfg["shape"][0] * cfg["shape"][1]))
     if "res" in cfg:                     # res points along each of 2 dim axes

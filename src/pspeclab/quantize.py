@@ -490,12 +490,14 @@ def weyl_quantize_poly(p, basis: HermiteBasis, h: float) -> OperatorMatrix:
 
 
 def _band_powers(base):
-    """k -> base^k (a _Band), each power computed once from the last."""
-    @functools.cache
+    """k -> base^k (a _Band), each power computed once from the last and
+    kept in a list (a cache around a self-calling closure is a cycle)."""
+    powers = [_Band(base.N, {0: np.ones(base.N, dtype=complex)})]
+
     def power(k):
-        if k == 0:
-            return _Band(base.N, {0: np.ones(base.N, dtype=complex)})
-        return power(k - 1) @ base
+        while len(powers) <= k:
+            powers.append(powers[-1] @ base)
+        return powers[k]
     return power
 
 
@@ -836,7 +838,7 @@ def _real_times_complex(G, C):
 # ---------------------------------------------------------------------------
 # Moyal product
 
-def moyal_terms(p1, p2, max_order=None):
+def moyal_terms(p1, p2):
     """Graded terms T_k of the Moyal product: p1 #_h p2 = sum_k h^k T_k.
 
     T_k = (i/2)^k sum_{|mu|+|nu|=k} (-1)^{|nu|} (mu! nu!)
@@ -852,8 +854,6 @@ def moyal_terms(p1, p2, max_order=None):
         raise ValueError("dimension mismatch")
     n = a.n
     K = a.degree() + b.degree()
-    if max_order is not None:
-        K = min(K, max_order)
     terms = []
     from itertools import product as iproduct
 
@@ -930,8 +930,7 @@ class FBIField:
         return float(w2[out].sum() / total)
 
 
-def fbi_transform(u, grid: FourierGrid, h: float, x_out, xi_out,
-                  boundary_tol: float = 1e-8) -> FBIField:
+def fbi_transform(u, grid: FourierGrid, h: float, x_out, xi_out) -> FBIField:
     """Gaussian-windowed transform Tu(x, xi) over the phase-space grid.
 
     The normalization is calibrated (per spatial grid and h) so a
@@ -944,7 +943,7 @@ def fbi_transform(u, grid: FourierGrid, h: float, x_out, xi_out,
         raise ValueError("vector length does not match the grid")
     amax = np.abs(u).max()
     edge = max(np.abs(u[0]), np.abs(u[-1]))
-    if amax > 0 and edge > boundary_tol * amax:
+    if amax > 0 and edge > 1e-8 * amax:
         raise GridResolutionError(
             f"window leakage: |u| at the boundary is {edge / amax:.2e} of max")
     x_out = np.asarray(x_out, dtype=float)

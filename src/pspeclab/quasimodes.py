@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridResolutionError, NotPolynomialError, PspecError
-from .brackets import poisson_bracket_jets
+from .brackets import BRACKET_TOL, poisson_bracket_jets
 from .jets import Jet, compose_jet, eval_jet
 from .quantize import (
     FourierGrid,
@@ -71,7 +71,7 @@ def plateau_cutoff(r, delta):
 # ---------------------------------------------------------------------------
 # Hessian construction
 
-def hessian_construct(p: SymbolExpr, w0, bracket_tol: float = 1e-9):
+def hessian_construct(p: SymbolExpr, w0):
     """Symmetric complex A with A grad_xi p = -grad_x p and Im A > 0.
 
     Requires {Re p, Im p}(w0) < 0 and grad_xi p(w0) != 0.  For n = 1
@@ -85,7 +85,7 @@ def hessian_construct(p: SymbolExpr, w0, bracket_tol: float = 1e-9):
     jet = eval_jet(p, w0, 1)
     brk = float(np.real(poisson_bracket_jets(jet.real_part(), jet.imag_part())))
     scale = max(1.0, abs(jet.value()))
-    if brk >= -bracket_tol * scale:
+    if brk >= -BRACKET_TOL * scale:
         raise PspecError(
             f"bracket {{Re p, Im p}} = {brk:.3e} is not negative at {w0}; "
             "no decaying beam exists here (try the adjoint via the conjugate "
@@ -393,15 +393,14 @@ def _check_phase_positivity(qm):
 # ---------------------------------------------------------------------------
 # residual sweeps
 
-def _grid_for_beam(qm, h, L=None, points_per_width=16, xi_margin=2.0):
-    """Periodic grid on [-L, L) resolving the beam at h; by default the
-    window reaches 2 delta + 2 past |x0|."""
-    if L is None:
-        L = abs(qm.w0[0]) + 2 * qm.delta + 2.0
+def _grid_for_beam(qm, h, points_per_width=16):
+    """Periodic grid on [-L, L) resolving the beam at h; the window
+    reaches 2 delta + 2 past |x0|."""
+    L = abs(qm.w0[0]) + 2 * qm.delta + 2.0
     gamma = qm.gamma_A
     width = math.sqrt(h / gamma)
     M_width = int(math.ceil(2 * L * points_per_width / width))
-    xi_need = abs(qm.w0[-1]) + xi_margin
+    xi_need = abs(qm.w0[-1]) + 2.0
     M_window = int(math.ceil(xi_need * 2 * L / (math.pi * h)))
     M = max(M_width, M_window, 64)
     M = 1 << (M - 1).bit_length()      # next power of two for the FFTs
@@ -436,10 +435,8 @@ def _one_residual(p, qm, h, grid, quantizer):
 
 
 def residual_sweep(p: SymbolExpr, w0, N: int, delta: float, h_list,
-                   path: str = "grid", L: float = None,
-                   points_per_width: int = 16, model: str = "power",
-                   refine_check: bool = False,
-                   subprincipal: SymbolExpr | None = None):
+                   path: str = "grid", points_per_width: int = 16,
+                   model: str = "power", refine_check: bool = False):
     """Apply P to the sampled beam u, record ||(P - z) u|| / ||u|| for
     each h and fit.
 
@@ -454,10 +451,10 @@ def residual_sweep(p: SymbolExpr, w0, N: int, delta: float, h_list,
     refine_check=True each h is recomputed on a half-resolution grid
     and a >10% disagreement raises GridResolutionError.
     """
-    qm = build_quasimode(p, w0, N, delta, subprincipal=subprincipal)
+    qm = build_quasimode(p, w0, N, delta)
     records = []
     for h in h_list:
-        grid = _grid_for_beam(qm, h, L, points_per_width)
+        grid = _grid_for_beam(qm, h, points_per_width)
         r, nrm = _one_residual(p, qm, h, grid, path)
         if refine_check:
             half = FourierGrid(grid.L, max(64, grid.M // 2), 1)
@@ -473,18 +470,16 @@ def residual_sweep(p: SymbolExpr, w0, N: int, delta: float, h_list,
                  "phase_positivity": qm.records["phase_positivity"]}
 
 
-def localization_report(qm: Quasimode, h: float, L: float = None,
-                        points_per_width: int = 16,
-                        radii=(0.25, 0.5, 1.0), out_points: int = 81):
+def localization_report(qm: Quasimode, h: float, radii=(0.25, 0.5, 1.0)):
     """FBI mass fractions outside balls around (x0, xi0)."""
     if qm.n != 1:
         raise PspecError("localization_report is 1-D")
-    grid = _grid_for_beam(qm, h, L, points_per_width)
+    grid = _grid_for_beam(qm, h)
     x = grid.points_1d()
     u = qm.sample(x, h)
     span = max(radii) + 6 * math.sqrt(h)
-    x_out = np.linspace(qm.w0[0] - span, qm.w0[0] + span, out_points)
-    xi_out = np.linspace(qm.w0[1] - span, qm.w0[1] + span, out_points)
+    x_out = np.linspace(qm.w0[0] - span, qm.w0[0] + span, 81)
+    xi_out = np.linspace(qm.w0[1] - span, qm.w0[1] + span, 81)
     field = fbi_transform(u, grid, h, x_out, xi_out)
     masses = {float(r): field.mass_outside((qm.w0[0], qm.w0[1]), r)
               for r in radii}

@@ -76,13 +76,12 @@ class SpectrumReport:
         return float(np.abs(acc - z).min())
 
 
-def eigendecompose(P: OperatorMatrix, residual_tol=RESIDUAL_TOL,
-                   tail_tol=TAIL_TOL) -> SpectrumReport:
+def eigendecompose(P: OperatorMatrix) -> SpectrumReport:
     """Dense nonsymmetric eigendecomposition plus acceptance filtering.
 
     An eigenpair is accepted when its matrix residual ||(P-lam)v|| is
-    below residual_tol * ||P|| and its basis-tail mass is below
-    tail_tol.  Discretization truncation produces spurious interior
+    below RESIDUAL_TOL * ||P|| and its basis-tail mass is below
+    TAIL_TOL.  Discretization truncation produces spurious interior
     eigenvalues for non-normal operators; the tail test is what rejects
     them.
     """
@@ -97,10 +96,10 @@ def eigendecompose(P: OperatorMatrix, residual_tol=RESIDUAL_TOL,
         residuals = np.linalg.norm(R, axis=0)
         opnorm = P.norm()
     tails = np.zeros(V.shape[1]) if P.basis is None else P.basis.tail_mass(V)
-    accepted = (residuals <= residual_tol * max(opnorm, 1e-300)) & (tails <= tail_tol)
+    accepted = (residuals <= RESIDUAL_TOL * max(opnorm, 1e-300)) & (tails <= TAIL_TOL)
     order = np.argsort(lam.real, kind="stable")
     return SpectrumReport(lam[order], residuals[order], tails[order],
-                          accepted[order], opnorm, residual_tol, tail_tol)
+                          accepted[order], opnorm, RESIDUAL_TOL, TAIL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +665,11 @@ def _marching_squares(xs, ys, field, level):
     return list(zip(starts, ends))
 
 
-def _chain_segments(segments, digits=9):
+def _chain_segments(segments):
     """Join segments into polylines by matching endpoints, rounded to
-    digits; each endpoint's key is computed once and travels with it."""
+    9 digits; each endpoint's key is computed once and travels with it."""
     def key(p):
-        return (round(p[0], digits), round(p[1], digits))
+        return (round(p[0], 9), round(p[1], 9))
 
     keyed = [(a, b, key(a), key(b)) for a, b in segments]
     adj = {}

@@ -400,23 +400,22 @@ def _fold(node, const, var, exp):
     """Evaluate the tree over one number ring with Python's operators
     (+ - * /, unary -, ** k): const(value) and var(node) build the
     leaves and exp(u) is the ring's exponential.  Operands are
-    evaluated left to right."""
-    def walk(node):
-        if isinstance(node, Const):
-            return const(node.value)
-        if isinstance(node, Var):
-            return var(node)
-        if isinstance(node, Neg):
-            return -walk(node.child)
-        if isinstance(node, Exp):
-            return exp(walk(node.child))
-        if isinstance(node, Pow):
-            return walk(node.base) ** node.exponent
-        if isinstance(node, BinOp):
-            left = walk(node.left)
-            return _BINARY[node.op](left, walk(node.right))
-        raise TypeError(f"unknown node {node!r}")
-    return walk(node)
+    evaluated left to right.  (A nested recursive closure would leave a
+    reference cycle per call.)"""
+    if isinstance(node, Const):
+        return const(node.value)
+    if isinstance(node, Var):
+        return var(node)
+    if isinstance(node, Neg):
+        return -_fold(node.child, const, var, exp)
+    if isinstance(node, Exp):
+        return exp(_fold(node.child, const, var, exp))
+    if isinstance(node, Pow):
+        return _fold(node.base, const, var, exp) ** node.exponent
+    if isinstance(node, BinOp):
+        left = _fold(node.left, const, var, exp)
+        return _BINARY[node.op](left, _fold(node.right, const, var, exp))
+    raise TypeError(f"unknown node {node!r}")
 
 
 def _constant_subtrees(root):
@@ -573,9 +572,8 @@ class PolySymbol:
     def copy(self):
         return PolySymbol(self.n, dict(self.coeffs))
 
-    def trim(self, tol=0.0):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0 and
-                       (tol == 0.0 or abs(v) > tol)}
+    def trim(self):
+        self.coeffs = {k: v for k, v in self.coeffs.items() if v != 0}
         return self
 
     def degree(self):

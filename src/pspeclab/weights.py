@@ -42,6 +42,8 @@ __all__ = [
     "quasimode_spectrum_proximity",
 ]
 
+DRIFT_TOL = 1e-8         # per-step drift of Re p, relative to max(1, |Re p|)
+
 
 # ---------------------------------------------------------------------------
 # escape function
@@ -118,7 +120,7 @@ def _hamilton_field(p, pts):
     return np.concatenate([gxi, -gx], axis=1)
 
 
-def _flow_trajectories(p, z0, starts, T0, exit_tol, drift_tol=1e-8, dt0=1e-3):
+def _flow_trajectories(p, z0, starts, T0, exit_tol):
     """Batched H_{Re p} flow from the start points until each trajectory
     leaves {|Im(p - z0)| <= exit_tol} or time runs out.
 
@@ -134,7 +136,7 @@ def _flow_trajectories(p, z0, starts, T0, exit_tol, drift_tol=1e-8, dt0=1e-3):
     active = np.ones(m, dtype=bool)
     paths = [[W[i].copy()] for i in range(m)]
     times = [[0.0] for _ in range(m)]
-    t, dt = 0.0, dt0
+    t, dt = 0.0, 1e-3
     max_steps = 50000
     steps = 0
     while t < T0 and active.any() and steps < max_steps:
@@ -151,7 +153,7 @@ def _flow_trajectories(p, z0, starts, T0, exit_tol, drift_tol=1e-8, dt0=1e-3):
                              "symbol evaluation failed along the H_{Re p} flow")
         # per-step drift of Re p, conserved along its own flow
         drift = np.abs(np.real(vals) - e_prev[idx])
-        if (drift > drift_tol * drift_ref[idx]).any() and dt > 1e-6:
+        if (drift > DRIFT_TOL * drift_ref[idx]).any() and dt > 1e-6:
             dt *= 0.5
             continue
         t += dt
@@ -163,15 +165,15 @@ def _flow_trajectories(p, z0, starts, T0, exit_tol, drift_tol=1e-8, dt0=1e-3):
             times[i].append(t)
             if exited[row]:
                 active[i] = False
-        if (drift < 0.1 * drift_tol * drift_ref[idx]).all():
+        if (drift < 0.1 * DRIFT_TOL * drift_ref[idx]).all():
             dt *= 1.6
     return [(np.array(paths[i]), np.array(times[i]), not active[i])
             for i in range(m)]
 
 
 def escape_weight(p: SymbolExpr, z0: complex, box, T0: float,
-                  exit_tol: float = 1e-3, seeds_per_axis: int = None,
-                  bump_radius: float = None) -> EscapeWeight:
+                  exit_tol: float = 1e-3, seeds_per_axis: int = None
+                  ) -> EscapeWeight:
     """Construct G with H_{Re p} G > 0 on the sampled level set p^{-1}(z0).
 
     Every level-set sample is flowed along H_{Re p}; a trajectory that
@@ -206,8 +208,7 @@ def escape_weight(p: SymbolExpr, z0: complex, box, T0: float,
     for pts, times in trajectories:
         seg_len = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         total_len = float(seg_len.sum())
-        r = bump_radius or min(max(2.0 * total_len, 0.05 * box_scale),
-                               0.5 * box_scale)
+        r = min(max(2.0 * total_len, 0.05 * box_scale), 0.5 * box_scale)
         spacing = r / 2.0
         arc = np.concatenate([[0.0], np.cumsum(seg_len)])
         targets = np.arange(0.0, total_len + 0.5 * spacing, spacing) \
@@ -344,8 +345,7 @@ def conjugate_operator(P: OperatorMatrix, G, eps: float, h: float,
 
 def boundary_exclusion_experiment(p, z0, escape, h_list, build,
                                   C2: float = 2.0, exclusion_margin: float = 1.0,
-                                  C_fit: float = 50.0, cond_cap: float = 1e10,
-                                  circle_radius=None, circle_points: int = 8):
+                                  cond_cap: float = 1e10):
     """Per-h conjugation experiment near a boundary point z0.
 
     build(h) -> OperatorMatrix quantizes the symbol.  For each h the
@@ -362,9 +362,8 @@ def boundary_exclusion_experiment(p, z0, escape, h_list, build,
         rng = float(lam.max() - lam.min())
         eps_cap = h * math.log(cond_cap) / max(rng, 1e-12)
         eps = min(C2 * h * math.log(1.0 / h), eps_cap)
-        radius = circle_radius or max(2 * h, 0.05)
-        zs = [z0 + radius * np.exp(2j * np.pi * k / circle_points)
-              for k in range(circle_points)]
+        radius = max(2 * h, 0.05)
+        zs = [z0 + radius * np.exp(2j * np.pi * k / 8) for k in range(8)]
         Pe, rep = conjugate_operator(P, escape, eps, h, z_list=zs,
                                      cond_cap=cond_cap * 10,
                                      compare_spectra=False)
@@ -379,7 +378,7 @@ def boundary_exclusion_experiment(p, z0, escape, h_list, build,
             "hlog": float(h * math.log(1.0 / h)),
             "m_exceeds_margin": bool(m_h >= exclusion_margin * h * math.log(1.0 / h)),
             "sigma_min_circle": float(smin_circle),
-            "sigma_exceeds_eps_over_C": bool(smin_circle >= eps / C_fit),
+            "sigma_exceeds_eps_over_C": bool(smin_circle >= eps / 50.0),
         })
     return rows
 
@@ -441,12 +440,10 @@ def dissipative_build(q: SymbolExpr, a, disc, h: float
     return DissipativeOperator(Q, W, P, defect, wmin, n)
 
 
-def dissipative_resolvent_check(D: DissipativeOperator, z_list,
-                                tol: float = None):
-    """sigma_min(P - z) >= Im z - tol for Im z > 0; reports margins."""
-    if tol is None:
-        with single_thread_below(D.P.size):
-            tol = 1e-8 * D.P.norm()
+def dissipative_resolvent_check(D: DissipativeOperator, z_list):
+    """sigma_min(P - z) >= Im z - 1e-8 ||P|| for Im z > 0; reports margins."""
+    with single_thread_below(D.P.size):
+        tol = 1e-8 * D.P.norm()
     rows = []
     for z in z_list:
         z = complex(z)

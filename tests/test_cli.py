@@ -316,6 +316,47 @@ def test_config_over_the_size_budget_exits_2_without_allocating(
     assert f"'{key}'" in man["error"] and "budget" in man["error"]
 
 
+BEAM_NONPOLY = "xi1^2+xi1*1i+x1^2/(1+0.1*x1^2)"
+
+
+@pytest.mark.parametrize("name, changes, key", [
+    # the rotated beam at [1, 1] samples M = 131072 points at h = 1e-4
+    ("quasimode", {"h_list": [0.2, 0.1, 1e-4]}, "h_list"),
+    ("fbi", {"h": 1e-4}, "h"),
+    ("fbi", {"h": 5e-324}, "h"),                    # the order is not finite
+    # a non-polynomial symbol on the grid path builds the dense M = 8192
+    # grid matrix at h = 0.0015
+    ("quasimode", {"symbol": BEAM_NONPOLY, "h_list": [0.2, 0.1, 0.0015]},
+     "h_list"),
+], ids=["quasimode", "fbi", "fbi-overflow", "quasimode-nonpoly"])
+def test_beam_grid_over_the_size_budget_exits_2_without_allocating(
+        tmp_path, name, changes, key):
+    test_config_over_the_size_budget_exits_2_without_allocating(
+        tmp_path, name, changes, key)
+
+
+def test_beam_grid_budget_edges():
+    # the beam grid's order is a power of two taken from h: h = 2e-4 gives
+    # the rotated beam 65536 points and 1e-4 gives 131072; the non-polynomial
+    # beam's dense grid matrix has order 4096 at h = 0.002 and 8192 at 0.0015
+    rot, nonpoly = parse_symbol(ROT, 1), parse_symbol(BEAM_NONPOLY, 1)
+    beam = {"point": [1.0, 1.0], "order": 0, "delta": 0.5}
+    quasimode = {**beam, "symbol": rot, "path": "grid", "h_list": [0.1, 2e-4]}
+    cli._check_budget("quasimode", quasimode)
+    cli._check_budget("fbi", {**beam, "symbol": rot, "h": 2e-4})
+    cli._check_budget("quasimode", {**quasimode, "symbol": nonpoly,
+                                    "h_list": [0.1, 0.002]})
+    # off the grid path the symbol is never a dense grid matrix
+    cli._check_budget("quasimode", {**quasimode, "symbol": nonpoly,
+                                    "path": "hermite"})
+    for command, cfg in (("quasimode", {**quasimode, "h_list": [1e-4]}),
+                         ("fbi", {**beam, "symbol": rot, "h": 1e-4}),
+                         ("quasimode", {**quasimode, "symbol": nonpoly,
+                                        "h_list": [0.0015]})):
+        with pytest.raises(ConfigError, match="budget"):
+            cli._check_budget(command, cfg)
+
+
 def test_size_budget_edges():
     # at the budget a config is accepted, one past it refused; the
     # operator budget is the order eigendecompose accepts

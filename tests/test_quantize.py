@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import tracemalloc
 
@@ -609,6 +610,20 @@ def test_fbi_calibration_cached_per_grid_value():
     assert quantize._fbi_calibration.cache_info().currsize == 1
 
 
+def test_fbi_rejects_window_leakage():
+    # an input whose boundary value passes 1e-8 of its maximum wraps
+    # around the periodic window, and the transform refuses it
+    h = 0.05
+    grid = FourierGrid(4.0, 128)
+    x_out = np.linspace(-1, 1, 21)
+    u = np.exp(-grid.points_1d() ** 2 / (2 * h)).astype(complex)
+    u[0] = 2e-8
+    with pytest.raises(GridResolutionError, match="window leakage"):
+        fbi_transform(u, grid, h, x_out, x_out)
+    u[0] = 5e-9
+    assert np.isfinite(fbi_transform(u, grid, h, x_out, x_out).values).all()
+
+
 def test_wick_quadrature_window_guard():
     from pspeclab.errors import GridResolutionError
 
@@ -833,6 +848,21 @@ def test_norm_off_the_bands_is_the_dense_svd_bytes():
         norm = OperatorMatrix(A, 0.1, None).norm()
         assert norm.hex() == float(np.linalg.norm(A, 2)).hex()
 
+
+
+@pytest.mark.parametrize("text", ["xi1^2 + xi1*1i + x1^2", "xi1^2 + x1^4 + 1i*x1"])
+def test_weyl_quantize_poly_leaves_no_reference_cycles(text):
+    # the ladder powers are memoized without a self-referencing closure,
+    # so a call leaves nothing for the cyclic collector
+    p, basis = parse_symbol(text, 1), HermiteBasis(200)
+    weyl_quantize_poly(p, basis, 0.05)        # warm-up: module-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        weyl_quantize_poly(p, basis, 0.05)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bandwidths_are_the_tightest_band():
