@@ -93,21 +93,16 @@ def repeated_brackets(p: SymbolExpr, z0: complex, w, j_max: int) -> BracketRepor
     base = eval_jet(p, w, j_max + 1) - Jet.constant(2 * p.n, j_max + 1, z0)
     parts = {1: base.real_part(), 2: base.imag_part()}
 
+    # words by length, so the jet of a word's tail is always in memo
     memo: dict[tuple, Jet] = {(1,): parts[1], (2,): parts[2]}
-
-    def bracket_jet(word):
-        if word in memo:
-            return memo[word]
-        head, tail = word[0], word[1:]
-        inner = bracket_jet(tail)
-        out = hamilton_bracket_jet(parts[head].truncate(inner.degree + 1), inner)
-        memo[word] = out
-        return out
-
     values = {}
     for k in range(1, j_max + 1):
         for word in product((1, 2), repeat=k):
-            values[word] = bracket_jet(word).value()
+            if word not in memo:
+                inner = memo[word[1:]]
+                memo[word] = hamilton_bracket_jet(
+                    parts[word[0]].truncate(inner.degree + 1), inner)
+            values[word] = memo[word].value()
 
     max_mag = max(abs(v) for v in values.values())
     tol = BRACKET_TOL * max(1.0, max_mag)

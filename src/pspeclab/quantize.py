@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
-from ._blas import single_thread_below
+from ._blas import band_bidiagonal, band_bidiagonal_found, single_thread_below
 from .errors import GridResolutionError, NotPolynomialError, PspecError
 from .symbols import PolySymbol, SymbolExpr, _check_finite, symbol_from_poly
 
@@ -329,6 +329,50 @@ def _bandwidths(A, most):
     return None if left else (kl, ku)
 
 
+# the band SVD beat the dense one (both on one thread) wherever
+# kl + ku <= M // _BAND_RATIO, on a table of M = 64..800, kl = ku = 1..16
+_BAND_RATIO = 16
+
+
+def _band_widths(A):
+    """(kl, ku) of A (see _bandwidths) when kl + ku <= M // _BAND_RATIO
+    and zgbbrd is bound: the matrices whose singular values come from
+    _band_singular_value.  Else None, and the dense SVD serves."""
+    if not band_bidiagonal_found():
+        return None
+    return _bandwidths(A, A.shape[0] // _BAND_RATIO)
+
+
+def _band_singular_value(A, z, kl, ku, index):
+    """Eigenvalue `index` (1-based, ascending) of the order-2M
+    Golub-Kahan tridiagonal of A - z, for A with kl sub- and ku
+    super-diagonals: M + 1 is sigma_min(A - z), 2M is ||A - z||_2.
+    zgbbrd reduces the band storage of A - z, built from the diagonals,
+    to a real upper bidiagonal B = (d, e) with the same singular values
+    (Golub & Kahan, SIAM J. Numer. Anal. B 2 (1965) 205-224), at O(M^2
+    (kl + ku)).  The tridiagonal, zero diagonal and off-diagonal (d_1,
+    e_1, d_2, ..., d_M), has eigenvalues +-sigma_i(B), and dstebz bisects
+    for the one asked, to high relative accuracy (Demmel & Kahan, SIAM J.
+    Sci. Stat. Comput. 11 (1990) 873-912).  Neither routine calls a
+    threaded BLAS kernel."""
+    M = A.shape[0]
+    ab = np.zeros((kl + ku + 1, M), dtype=complex, order="F")
+    for s in range(-kl, ku + 1):
+        ab[ku - s, max(s, 0):M + min(s, 0)] = np.diagonal(A, s)
+    ab[ku] -= z
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    d, e = band_bidiagonal(ab, kl, ku)
+    off = np.empty(2 * M - 1)
+    off[0::2], off[1::2] = d, e
+    _, w, _, _, info = scipy.linalg.lapack.dstebz(
+        np.zeros(2 * M), off, 2, 0.0, 0.0, index, index,
+        2 * np.finfo(float).tiny, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz returned info = {info}")
+    return float(abs(w[0]))
+
+
 def _tridiagonal_bands(A):
     """The sub-, main and super-diagonal of A when every other entry is
     an exact zero (see _bandwidths) and the order is at least 3
@@ -338,32 +382,6 @@ def _tridiagonal_bands(A):
     if widths is None or max(widths) > 1:
         return None
     return [np.diagonal(A, k) for k in (-1, 0, 1)]
-
-
-def _tridiagonal_norm(sub, diag, sup):
-    """||A||_2 of the tridiagonal A with the given bands, as the square
-    root of the largest eigenvalue of the Hermitian pentadiagonal A^H A.
-    With l = sub, d = diag, u = sup, column j of A holds u[j-1], d[j],
-    l[j] in rows j-1, j, j+1, so the lower bands of A^H A are
-        (A^H A)[j, j]     = |u[j-1]|^2 + |d[j]|^2 + |l[j]|^2,
-        (A^H A)[j + 1, j] = conj(u[j]) d[j] + l[j] conj(d[j + 1]),
-        (A^H A)[j + 2, j] = conj(u[j + 1]) l[j],
-    and LAPACK's ?sbevx/?hbevx finds the top eigenvalue alone.  Real
-    arithmetic when every imaginary part is exactly zero."""
-    bands = [sub, diag, sup]
-    if not any(b.imag.any() for b in bands):
-        bands = [np.ascontiguousarray(b.real) for b in bands]
-    l, d, u = bands
-    M = d.size
-    band = np.zeros((3, M), dtype=d.dtype)
-    band[0] = (d * d.conj()).real
-    band[0, 1:] += (u * u.conj()).real
-    band[0, :-1] += (l * l.conj()).real
-    band[1, :-1] = u.conj() * d[:-1] + l * d[1:].conj()
-    band[2, :-2] = u[1:].conj() * l[:-1]
-    top = scipy.linalg.eigvals_banded(band, lower=True, select="i",
-                                      select_range=(M - 1, M - 1))[0]
-    return math.sqrt(max(float(top), 0.0))
 
 
 @dataclass
@@ -381,15 +399,15 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
     def norm(self):
-        """||P||_2, computed once.  An exactly tridiagonal matrix (see
-        _tridiagonal_bands) takes it from its three bands, through the
-        top eigenvalue of the pentadiagonal P^H P (backward stable, within
-        a few ulp of the SVD's value); any other matrix takes the dense
-        SVD of np.linalg.norm(P, 2)."""
+        """||P||_2, computed once.  A band matrix (see _band_widths)
+        takes it from the band SVD, eigenvalue 2M of its Golub-Kahan
+        tridiagonal (within a few ulp of the dense SVD's value); any
+        other matrix takes the dense SVD of np.linalg.norm(P, 2)."""
         if "norm2" not in self.meta:
-            bands = _tridiagonal_bands(self.matrix)
-            self.meta["norm2"] = (float(np.linalg.norm(self.matrix, 2))
-                                  if bands is None else _tridiagonal_norm(*bands))
+            widths = _band_widths(self.matrix)
+            self.meta["norm2"] = (
+                float(np.linalg.norm(self.matrix, 2)) if widths is None
+                else _band_singular_value(self.matrix, 0, *widths, 2 * self.size))
         return self.meta["norm2"]
 
     def hermiticity_defect(self):

@@ -30,9 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._blas import band_bidiagonal, band_bidiagonal_found, single_thread_below
+from ._blas import single_thread_below
 from .errors import ConvergenceError, PspecError
-from .quantize import OperatorMatrix, _bandwidths, _tridiagonal_bands
+from .quantize import (OperatorMatrix, _band_singular_value, _band_widths,
+                       _tridiagonal_bands)
+from .quantize import _BAND_RATIO, _bandwidths  # noqa: F401  (re-exported)
 
 __all__ = [
     "SpectrumReport",
@@ -111,9 +113,6 @@ _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
 _STACK_ENTRIES = 1 << 15  # the same cap when each shift keeps its own factor
 _RITZ_BACKWARD = 1e-2 * SIGMA_TOL  # backward error the Ritz recurrence may keep
-# the band SVD beat the dense one (both on one thread) wherever
-# kl + ku <= M // _BAND_RATIO, on a table of M = 64..800, kl = ku = 1..16
-_BAND_RATIO = 16
 
 
 def _shifted(A, z):
@@ -127,11 +126,9 @@ def _shifted(A, z):
 
 
 def _sigma_min_svd(A, z):
-    """sigma_min(A - z) by a direct SVD: the band kernel when every
-    non-zero of A lies within kl sub- and ku super-diagonals with
-    kl + ku <= M // _BAND_RATIO and zgbbrd is bound, else the dense one."""
-    widths = (_bandwidths(A, A.shape[0] // _BAND_RATIO)
-              if band_bidiagonal_found() else None)
+    """sigma_min(A - z) by a direct SVD: the band kernel when A is a
+    narrow band matrix (see _band_widths), else the dense one."""
+    widths = _band_widths(A)
     if widths is None:
         return _sigma_min_dense(A, z)
     return _sigma_min_band(A, z, *widths)
@@ -142,31 +139,10 @@ def _sigma_min_dense(A, z):
 
 
 def _sigma_min_band(A, z, kl, ku):
-    """sigma_min(A - z) for A with kl sub- and ku super-diagonals.
-    zgbbrd reduces the band storage of A - z, built from the diagonals,
-    to a real upper bidiagonal B = (d, e) with the same singular values
-    (Golub & Kahan, SIAM J. Numer. Anal. B 2 (1965) 205-224), at O(M^2
-    (kl + ku)).  The order-2M Golub-Kahan tridiagonal, zero diagonal and
-    off-diagonal (d_1, e_1, d_2, ..., d_M), has eigenvalues +-sigma_i(B),
-    and dstebz bisects for the (M + 1)-th, the smallest non-negative one,
-    to high relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput.
-    11 (1990) 873-912).  Neither routine calls a threaded BLAS kernel."""
-    M = A.shape[0]
-    ab = np.zeros((kl + ku + 1, M), dtype=complex, order="F")
-    for s in range(-kl, ku + 1):
-        ab[ku - s, max(s, 0):M + min(s, 0)] = np.diagonal(A, s)
-    ab[ku] -= z
-    if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
-    d, e = band_bidiagonal(ab, kl, ku)
-    off = np.empty(2 * M - 1)
-    off[0::2], off[1::2] = d, e
-    _, w, _, _, info = scipy.linalg.lapack.dstebz(
-        np.zeros(2 * M), off, 2, 0.0, 0.0, M + 1, M + 1,
-        2 * np.finfo(float).tiny, "E")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz returned info = {info}")
-    return float(abs(w[0]))
+    """sigma_min(A - z) for A with kl sub- and ku super-diagonals:
+    eigenvalue M + 1 of the Golub-Kahan tridiagonal, the smallest
+    non-negative one (see _band_singular_value)."""
+    return _band_singular_value(A, z, kl, ku, A.shape[0] + 1)
 
 
 def _schur_T(A):

@@ -418,24 +418,23 @@ def _fold(node, const, var, exp):
     raise TypeError(f"unknown node {node!r}")
 
 
-def _constant_subtrees(root):
-    """The maximal subtrees of root that hold no variable, left to right."""
-    def walk(node):     # (holds no variable, maximal such subtrees)
-        if isinstance(node, Var):
-            return False, []
-        if isinstance(node, (Neg, Exp)):
-            children = [node.child]
-        elif isinstance(node, Pow):
-            children = [node.base]
-        elif isinstance(node, BinOp):
-            children = [node.left, node.right]
-        else:
-            children = []
-        parts = [walk(child) for child in children]
-        if all(free for free, _ in parts):
-            return True, [node]
-        return False, [tree for _, trees in parts for tree in trees]
-    return walk(root)[1]
+def _constant_subtrees(node):
+    """The maximal subtrees of node that hold no variable, left to right."""
+    if isinstance(node, Var):
+        return []
+    if isinstance(node, (Neg, Exp)):
+        children = [node.child]
+    elif isinstance(node, Pow):
+        children = [node.base]
+    elif isinstance(node, BinOp):
+        children = [node.left, node.right]
+    else:
+        children = []
+    parts = [_constant_subtrees(child) for child in children]
+    # a child holds no variable exactly when it is its own only such subtree
+    if all(len(part) == 1 and part[0] is child for part, child in zip(parts, children)):
+        return [node]
+    return [tree for part in parts for tree in part]
 
 
 def _check_finite(values, message):

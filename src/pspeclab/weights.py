@@ -54,7 +54,7 @@ def _bump_grad_factor(t):
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti)) * (-2.0 / (1.0 - ti * ti) ** 2)
+    out[inside] = bump(ti) * (-2.0 / (1.0 - ti * ti) ** 2)
     return out
 
 

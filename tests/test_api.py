@@ -5,6 +5,10 @@ overrides is a configuration nothing exercises; it belongs in the code
 as a constant.  Calls are matched by the called name, so a method or a
 same-named function elsewhere counts as a caller too (the scan can only
 miss knobs, never flag a used one).
+
+And no function of the package defines a nested function that calls
+itself: such a closure holds a cell that refers back to it, so every
+call leaves a reference cycle for the cyclic collector.
 """
 import ast
 import inspect
@@ -72,3 +76,20 @@ def test_no_exported_function_forwards_keywords():
                   if any(p.kind is p.VAR_KEYWORD
                          for p in inspect.signature(fn).parameters.values())]
     assert not forwarding, "functions taking **kwargs: " + ", ".join(forwarding)
+
+
+def test_no_nested_function_refers_to_itself():
+    found = set()
+    for path in sorted((ROOT / "src" / "pspeclab").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer
+                        and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(node, ast.Name) and node.id == inner.name
+                                and isinstance(node.ctx, ast.Load)
+                                for node in ast.walk(inner))):
+                    found.add(f"{path.stem}.{outer.name}.{inner.name}")
+    assert not found, "self-referencing closures: " + ", ".join(sorted(found))

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,23 @@ def test_finite_type_order_examples():
     k, parity = finite_type_order(rot, 2.0 + 1.0j, [[1.0, 1.0], [-1.0, 1.0]],
                                   j_max=2)
     assert k == 1
+
+
+def test_brackets_leave_no_reference_cycles():
+    # the bracket jets are memoized without a self-referencing closure,
+    # so neither a report nor an order leaves work for the cyclic collector
+    p = parse_symbol("xi1 + 1i*x1^2", 1)
+    repeated_brackets(p, 0.0, [0.0, 0.0], 3)          # warm-up
+    finite_type_order(p, 0.0, [[0.0, 0.0]], j_max=3)
+    gc.collect()
+    gc.disable()
+    try:
+        repeated_brackets(p, 0.0, [0.0, 0.0], 3)
+        assert gc.collect() == 0
+        finite_type_order(p, 0.0, [[0.0, 0.0], [0.0, 0.0]], j_max=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_finite_type_order_errors():

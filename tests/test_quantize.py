@@ -820,8 +820,8 @@ def _tridiagonals():
 
 
 def test_tridiagonal_norm_is_the_dense_svd():
-    # the top eigenvalue of the pentadiagonal P^H P, assembled from the
-    # three bands, against the dense SVD
+    # the norm of tridiagonal matrices, the band SVD's where the band
+    # rule admits them (see _band_widths), against the dense SVD
     mats = _tridiagonals()
     shifted, complex_ = mats[4], mats[7]      # at M = 60
     sub, _, sup = _tridiagonal_bands(shifted)

@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pspeclab import quasimodes
 from pspeclab.brackets import poisson_bracket
 from pspeclab.errors import GridResolutionError, PspecError
-from pspeclab.quantize import FourierGrid, weyl_quantize_grid
+from pspeclab.quantize import (
+    FourierGrid,
+    HermiteBasis,
+    hermite_functions,
+    weyl_quantize_grid,
+    weyl_quantize_poly,
+)
 from pspeclab.quasimodes import (
     _grid_for_beam,
     _one_residual,
@@ -175,6 +183,32 @@ def test_hermite_and_grid_paths_agree():
     for g, hm in zip(rg["sweep"], rh["sweep"]):
         assert hm["residual"] == pytest.approx(g["residual"], rel=1e-3)
     assert fh.exponent == pytest.approx(fg.exponent, rel=0, abs=1e-3)
+
+
+def test_hermite_residual_samples_the_beam_support_in_blocks():
+    # at h = 1e-3 the rotated beam lies on an M = 8192 grid, where a full
+    # table of the 800 Hermite functions takes 50 MiB; blocks on the
+    # cutoff support keep the peak near the 10 MiB M = 800 Hermite matrix
+    qm = build_quasimode(ROT, [1, 1], 0, 0.5)
+    h = 1e-3
+    grid = _grid_for_beam(qm, h)
+    assert grid.M == 8192
+    _one_residual(ROT, qm, h, grid, "hermite")          # warm-up
+    tracemalloc.start()
+    try:
+        r, _ = _one_residual(ROT, qm, h, grid, "hermite")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    # the whole-grid table, real and imaginary parts apart
+    x = grid.points_1d()
+    u = qm.sample(x, h)
+    funcs = hermite_functions(800, x, h)
+    coeffs = (funcs @ u.real + 1j * (funcs @ u.imag)) * grid.dx
+    P = weyl_quantize_poly(ROT, HermiteBasis(800), h).matrix
+    ref = np.linalg.norm(P @ coeffs - qm.z * coeffs) / np.linalg.norm(coeffs)
+    assert r == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_non_polynomial_beam_takes_the_dense_grid_path(monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pspeclab import _blas, repro, spectral
+from pspeclab import _blas, quantize, repro, spectral
 from pspeclab.errors import ConvergenceError, PspecError
 from pspeclab.quantize import (
     FourierGrid,
@@ -485,13 +485,16 @@ for M, h, shape in ((200, 0.05, (101, 81)), (400, 0.025, (26, 21))):
         runs["400_nodes"] = {"sigma": g.sigma.ravel().tolist(),
                              "floored": g.floored.ravel().tolist()}
 # the band SVD at M=400, on the tridiagonal rotated oscillator and the
-# pentadiagonal Davies oscillator: the widths it ran at and its values
+# pentadiagonal Davies oscillator: the widths it ran at, the norm and the
+# values
 runs["band"] = {}
 for name, symbol in (("rotated", "xi1^2 + xi1*1i + x1^2"),
                      ("davies", "xi1^2 + 1i*x1^2")):
-    A = weyl_quantize_poly(parse_symbol(symbol, 1), HermiteBasis(400), 0.025).matrix
+    op = weyl_quantize_poly(parse_symbol(symbol, 1), HermiteBasis(400), 0.025)
+    A = op.matrix
     runs["band"][name] = {
         "widths": spectral._bandwidths(A, 400 // spectral._BAND_RATIO),
+        "norm": op.norm().hex(),
         "sigma": [spectral.resolvent_norm(A, z, method="svd").hex()
                   for z in (2 + 1j, 0.5 + 0.3j, 3.0 - 0.2j, 1.0)]}
 print(json.dumps(runs))
@@ -543,8 +546,9 @@ def test_tridiagonal_sweep_above_the_crossover_does_not_depend_on_blas_threads(
 
 def test_band_svd_does_not_depend_on_blas_threads(blas_thread_runs):
     # zgbbrd and dstebz call no threaded BLAS kernel: at M=400 the band
-    # SVD keeps its bytes under 1 and 2 threads
+    # SVD and the band norm keep their bytes under 1 and 2 threads
     one, two = (run["band"] for run in blas_thread_runs)
+    assert all("norm" in one[name] for name in ("rotated", "davies"))
     assert one["rotated"]["widths"] == [1, 1]
     assert one["davies"]["widths"] == [2, 2]
     assert one == two
@@ -962,6 +966,37 @@ def test_band_svd_is_the_dense_svd(monkeypatch, name):
         assert sigma <= bound
 
 
+@pytest.mark.parametrize("name", sorted(_BAND_CASES) + ["order 1", "zero"])
+def test_band_norm_is_the_dense_svd(monkeypatch, name):
+    # ||A|| of a band matrix is eigenvalue 2M of the Golub-Kahan
+    # tridiagonal that method="svd" reduces A to, against the dense SVD
+    # to 1e-14 relative; the dense norm is never called
+    if name == "order 1":
+        A, widths = np.array([[3.0 - 4.0j]]), (0, 0)
+    elif name == "zero":
+        A, widths = np.zeros((40, 40), dtype=complex), (0, 0)
+    else:
+        build, widths, _ = _BAND_CASES[name]
+        A = build()
+    ref = np.linalg.norm(A, 2)
+    band, dense = [], []
+    monkeypatch.setattr(quantize, "_band_singular_value",
+                        _recording(quantize._band_singular_value, band))
+    norm_of = np.linalg.norm
+
+    def norm_spy(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            dense.append(x.shape)
+        return norm_of(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    norm = OperatorMatrix(A, 0.1, None).norm()
+    assert dense == []
+    assert [call[2:] for call in band] == [(*widths, 2 * A.shape[0])]
+    assert type(norm) is float
+    assert abs(norm - ref) <= 1e-14 * ref, (norm, ref)
+
+
 def _recording(fn, calls):
     def spy(*args):
         calls.append(args)
@@ -973,7 +1008,8 @@ def _recording(fn, calls):
                                             ("xi1^2 + 1i*x1^2", (2, 2))])
 def test_band_svd_meets_a_40_digit_svd(symbol, widths):
     # a tri- and a pentadiagonal Hermite matrix at M=24 against mpmath's
-    # complex SVD at 40 digits; the dense kernel for comparison
+    # complex SVD at 40 digits, sigma_min and the norm; the dense kernel
+    # for comparison
     mpmath = pytest.importorskip("mpmath")
     A = weyl_quantize_poly(parse_symbol(symbol, 1), HermiteBasis(24), 0.1).matrix
     assert spectral._bandwidths(A, 24) == widths
@@ -985,6 +1021,10 @@ def test_band_svd_meets_a_40_digit_svd(symbol, widths):
             exact = float(exact)
         assert abs(spectral._sigma_min_band(A, z, *widths) - exact) <= bound
         assert abs(spectral._sigma_min_dense(A, z) - exact) <= bound
+    # the band norm, eigenvalue 2M of the same tridiagonal at z = 0
+    with mpmath.workdps(40):
+        top = float(max(mpmath.svd_c(mpmath.matrix(A.tolist()), compute_uv=False)))
+    assert abs(quantize._band_singular_value(A, 0, *widths, 48) - top) <= bound
 
 
 def test_band_svd_rejects_non_finite_bands():
@@ -1054,6 +1094,12 @@ def test_band_matrices_take_the_dense_svd_without_the_capsule(no_zgbbrd_capsule,
     with _blas.single_thread_below(200):        # as resolvent_norm runs it
         dense = spectral._sigma_min_dense(A, 2 + 1j)
     assert resolvent_norm(A, 2 + 1j, method="svd") == dense
+
+
+def test_band_norm_takes_the_dense_svd_without_the_capsule(no_zgbbrd_capsule):
+    A = weyl_quantize_poly(ROT, HermiteBasis(200), 0.05).matrix
+    norm = OperatorMatrix(A, 0.05, None).norm()
+    assert norm.hex() == float(np.linalg.norm(A, 2)).hex()
 
 
 def test_band_bidiagonal_rejects_bad_storage_and_reports_info():

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,3 +215,16 @@ def test_to_poly_matches_eval_on_random_polynomial_trees(n, data):
         scale = sum(abs(c) * np.prod(np.abs(w) ** np.array(a))
                     for a, c in poly.coeffs.items())
         assert abs(poly.eval(w) - p.eval(w)) <= 1e-12 * max(scale, 1.0)
+
+
+def test_constant_values_leave_no_reference_cycles():
+    # the constant subtrees are found without a self-referencing closure
+    p = parse_symbol("xi1^2 + x1^2/(1+2*3) + 1i*x1", 1)
+    assert p.constant_values() == [7, 1j]          # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        p.constant_values()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
