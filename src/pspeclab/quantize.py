@@ -375,9 +375,10 @@ def _band_singular_value(A, z, kl, ku, index):
 
 def _tridiagonal_bands(A):
     """The sub-, main and super-diagonal of A when every other entry is
-    an exact zero (see _bandwidths) and the order is at least 3
-    (LAPACK's gttrf bound for the stacked system of the sigma_min
-    sweep), else None."""
+    an exact zero (see _bandwidths) and the order is at least 3, else
+    None.  Every matrix of order 1 or 2 is trivially tridiagonal; they
+    keep the Schur and LU paths of the sigma_min sweep they have always
+    taken, and with them their bytes."""
     widths = _bandwidths(A, 2) if A.shape[0] >= 3 else None
     if widths is None or max(widths) > 1:
         return None
@@ -973,11 +974,18 @@ def fbi_transform(u, grid: FourierGrid, h: float, x_out, xi_out) -> FBIField:
 
 
 def _fbi_raw(u, y, dy, h, x_out, xi_out):
-    # window[a, y] = exp(-(x_a - y)^2 / 2h), phase[y, b] = exp(-i y xi_b / h)
-    win = np.exp(-(x_out[:, None] - y[None, :]) ** 2 / (2 * h))
-    phase = np.exp(-1j * y[:, None] * xi_out[None, :] / h)
+    # window[a, y] = exp(-(x_a - y)^2 / 2h), phase[y, b] = exp(-i y xi_b / h),
+    # summed over blocks of y in which the window, the weighted window and
+    # the phase together hold at most 2^20 entries
+    step = max(1, (1 << 20) // (2 * len(x_out) + len(xi_out)))
+    core = None
     with single_thread_below(len(x_out)):
-        core = np.matmul(win * u[None, :], phase)
+        for lo in range(0, len(y), step):
+            yb = y[lo:lo + step]
+            win = np.exp(-(x_out[:, None] - yb[None, :]) ** 2 / (2 * h))
+            phase = np.exp(-1j * yb[:, None] * xi_out[None, :] / h)
+            part = np.matmul(win * u[None, lo:lo + step], phase)
+            core = part if core is None else np.add(core, part, out=core)
     # residual phase e^{i x xi / h} has modulus one; keep it for fidelity
     outer = np.exp(1j * x_out[:, None] * xi_out[None, :] / h)
     return core * outer * dy

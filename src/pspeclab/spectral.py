@@ -11,8 +11,9 @@ formed), and all its shifts advance together at O(M^2) per step each, instead of
 SVD; a single shift may use an LU factor.  An exactly tridiagonal P (the
 Hermite matrix of the rotated oscillator, whose x^2 and xi^2 terms cancel
 off the three diagonals) skips both: each shift gets its own
-O(M) tridiagonal LU factor, and a block of shifts is solved as one
-block-diagonal tridiagonal system.
+O(M) Givens QR factor, and a block of shifts is solved by one band
+triangular solve pair on the stacked R factors (a single shift takes
+the tridiagonal LU).
 
 The direct measure, method="svd" and the fallback of a shift inverse
 Lanczos fails, is an SVD of P - z: a band SVD when every non-zero of P
@@ -219,76 +220,115 @@ def _lu_solves(A, z):
     B = _shifted(A, complex(z))
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (B,))
     lu, piv, _ = getrf(B, overwrite_a=True)
-    return lambda X, rows: getrs(lu, piv, getrs(lu, piv, X)[0], trans=2)[0]
+    return lambda X, rows: getrs(lu, piv, getrs(lu, piv, X.T)[0], trans=2)[0].T
 
 
 class _TridiagonalFactor:
-    """Block factor (see _sigma_min_shifts) of an exactly tridiagonal A.
+    """Block factor (see _sigma_min_shifts) of an exactly tridiagonal A,
+    from a Givens QR of each A - z = QR (see _givens_band).  Since
+    (A - z)^H (A - z) = R^H R, the Lanczos operator is R^{-1} R^{-H}: two
+    band triangular sweeps, done by one LAPACK zpbtrs call, and Q is never
+    formed.  Plane rotations make the factor backward stable (Golub &
+    Van Loan, Matrix Computations, 4th ed., section 5.2), with no pivots.
 
-    A block of n shifts is stacked into one block-diagonal tridiagonal
-    system of order n M, the couplings between blocks exact zeros, and
-    factored by one LAPACK gttrf call: LU with partial pivoting, whose
-    growth factor on a tridiagonal matrix is at most 2 (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., section 9.5).  A zero
-    coupling never wins a pivot, so each block is the factor of its own
-    A - z: finished shifts leave by dropping their blocks, and the pivot
-    indices of the later blocks move up with them.  Each solve pair is
-    one gttrs call with trans='C' and one with 'N' on the shifts still
-    active.  A shift with a zero pivot (z on the spectrum) gets a unit
-    diagonal and no couplings in the stacked system, since its inf times
-    a zero coupling would be nan in its neighbours, and its solves read
-    nan.  seconds sums the time spent in factoring."""
+    R is upper triangular with two superdiagonals, kept in LAPACK's upper
+    band storage (kd = 2) as one (M, 3) run per shift, shift after shift:
+    a block of n shifts is one (3, n M) Fortran-ordered band whose
+    couplings between blocks are exact zeros.  Finished shifts leave by
+    moving the runs of kept shifts into their slots, in the order the
+    driver moves its rows.  A shift whose R diagonal holds a zero or a
+    non-finite entry (z on the spectrum) gets an identity block, since its
+    inf times a zero coupling would be nan in its neighbours, and its
+    solves read nan.  A block of one shift, as resolvent_norm makes,
+    takes the tridiagonal LU instead (see _lu).  seconds sums the time
+    spent in factoring."""
 
     def __init__(self, bands):
-        self.bands = [np.asarray(b, dtype=complex) for b in bands]
+        # real off-diagonals stay real, and so does each sine s
+        self.bands = [b if b.imag.any() else b.real for b in bands]
         self.seconds = 0.0
 
     def __call__(self, zs):
         t0 = time.perf_counter()
-        sub, diag, sup = self.bands
-        n, M = zs.size, diag.size
-        F = np.zeros((4, n, M), complex)       # dl, d, du, du2 of each block
-        F[0, :, :-1], F[2, :, :-1] = sub, sup
-        np.subtract(diag, zs[:, None], out=F[1])
-        flat = F.reshape(4, -1)
-        _, _, _, du2, ipiv, _ = scipy.linalg.lapack.zgttrf(
-            flat[0, :-1], flat[1], flat[2, :-1],
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        flat[3, :-2] = du2
-        ipiv = ipiv.reshape(n, M)
-        bad = (F[1] == 0).any(axis=1)
-        F[:, bad] = 0
-        F[1, bad] = 1
-        kept = np.arange(n)
+        solve = self._lu(zs[0]) if zs.size == 1 else self._qr(zs)
         self.seconds += time.perf_counter() - t0
+        return solve
+
+    def _qr(self, zs):
+        R = _givens_band(self.bands, zs)
+        n, M, _ = R.shape
+        bad = ~(np.isfinite(R[:, :, 2]) & (R[:, :, 2] != 0)).all(axis=1)
+        R[bad] = 0
+        R[bad, :, 2] = 1
+        kept = np.arange(n)
 
         def solve(X, rows):
-            nonlocal F, ipiv, kept
+            nonlocal R, kept
             k = rows.size
-            if k < kept.size:                  # compact in place
-                keep = np.isin(kept, rows)
-                for plane in F:                # one (k, M) copy at a time
-                    plane[:k] = plane[keep]
-                # pivots count from the top of the stack
-                moved = np.flatnonzero(keep) - np.arange(k)
-                ipiv[:k] = ipiv[keep] - M * moved[:, None]
-                F, ipiv, kept = F[:, :k], ipiv[:k], rows
-            dl, d, du, du2 = (f.ravel() for f in F)
-            stacked = (dl[:-1], d, du[:-1], du2[:-2], ipiv.ravel())
-            b = X.T.copy().reshape(-1, 1)      # shift after shift
-            gttrs = scipy.linalg.lapack.zgttrs
-            b = gttrs(*stacked, b, trans="C", overwrite_b=1)[0]
-            b = gttrs(*stacked, b, trans="N", overwrite_b=1)[0]
+            if k < kept.size:                  # fill the finished slots
+                at = np.empty(n, int)
+                at[kept] = np.arange(kept.size)
+                src = at[rows]
+                moved = np.flatnonzero(src != np.arange(k))
+                R[moved] = R[src[moved]]
+                R, kept = R[:k], rows
+            b = X.reshape(-1, 1).copy()        # shift after shift
+            zpbtrs = scipy.linalg.lapack.zpbtrs
+            b = zpbtrs(R.reshape(-1, 3).T, b, lower=0, overwrite_b=1)[0]
             Y = b.reshape(k, M)
             Y[bad[rows]] = np.nan
-            return np.ascontiguousarray(Y.T)
+            return Y
 
         return solve
+
+    def _lu(self, z):
+        """Solve for one shift through LAPACK's tridiagonal LU with
+        partial pivoting (gttrf, then a gttrs pair): for one shift the
+        Givens loop's M numpy steps would cost more than the whole
+        resolvent_norm call.  A zero pivot gives nan solves."""
+        lapack = scipy.linalg.lapack
+        sub, diag, sup = self.bands
+        *lu, info = lapack.zgttrf(sub, diag - z, sup)
+        if info:
+            return lambda X, rows: np.full_like(X, np.nan)
+        return lambda X, rows: lapack.zgttrs(
+            *lu, lapack.zgttrs(*lu, X.T, trans="C")[0], trans="N")[0].T
+
+
+def _givens_band(bands, zs):
+    """R of A - z = QR for each shift z in zs, A tridiagonal with sub-,
+    main and super-diagonal bands = (t, d, u), in LAPACK's upper band
+    storage: R[j, i] = (R_{i-2,i}, R_{i-1,i}, R_ii) for zs[j], zeros
+    above the matrix.  A numpy loop over the rows, vectorized across the
+    shifts: row i carries a_i on the diagonal and b_i right of it
+    (a_0 = d_0, b_0 = u_0) and is rotated against row i + 1 by
+    [[conj c, conj s], [-s, c]], c = a_i / r_i, s = t_i / r_i,
+    r_i = |(a_i, t_i)|, which writes R_ii = r_i,
+    R_{i,i+1} = conj(c) b_i + conj(s) d_{i+1} and R_{i,i+2} = conj(s) u_{i+1},
+    and carries a_{i+1} = c d_{i+1} - s b_i and b_{i+1} = c u_{i+1}."""
+    sub, diag, sup = bands
+    sup = np.append(sup, 0)                    # no R_{M-2, M}
+    dz = np.subtract.outer(diag, zs)
+    a, b = dz[0], sup[0]
+    on, first, second = [], [], []             # R_ii, R_{i,i+1}, R_{i,i+2}
+    for i, t in enumerate(sub):
+        d, u = dz[i + 1], sup[i + 1]
+        r = np.hypot(np.abs(a), abs(t))
+        c, s = a / r, t / r
+        sc = s.conjugate()
+        on.append(r)
+        first.append(c.conjugate() * b + sc * d)
+        second.append(sc * u)
+        a, b = c * d - s * b, c * u
+    on.append(a)
+    R = np.zeros((zs.size, diag.size, 3), complex)
+    R[:, :, 2], R[:, 1:, 1], R[:, 2:, 0] = (np.array(v).T for v in (on, first, second[:-1]))
+    return R
 
 
 def _factor(A, z=None, schur=False):
     """(kind, block factor, entries) for _sigma_min_shifts on A: the
-    stacked tridiagonal LU when A is exactly tridiagonal and schur is not
+    stacked tridiagonal QR when A is exactly tridiagonal and schur is not
     set; otherwise the shared Schur factor, or without schur and for the
     one shift z, the LU factor of A - z.  entries caps the blocks."""
     bands = None if schur else _tridiagonal_bands(A)
@@ -299,26 +339,32 @@ def _factor(A, z=None, schur=False):
         solve = _lu_solves(A, z)
         return "lu", lambda zs: solve, _SHIFT_ENTRIES
     solves = _schur_solves(A)
-    return ("schur", lambda zs: lambda X, rows: solves(X.copy(), zs[rows]),
+    return ("schur", lambda zs: lambda X, rows: solves(X.T.copy(), zs[rows]).T,
             _SHIFT_ENTRIES)
 
 
-def _sigma_min_shifts(A, zs, factor, entries, strict=False):
-    """sigma_min(A - z) for every shift z in zs by inverse Lanczos.
+def _sigma_min_shifts(A, zs, kind, factor, entries, strict=False):
+    """sigma_min(A - z) for every shift z in zs by inverse Lanczos, on the
+    factor of kind kind (see _factor).
 
-    Blocks of at most entries // M shifts advance together.  factor(zb)
-    prepares a block zb and returns its solve(X, rows): column j of X,
-    for the shift zb[rows[j]], becomes B_j x_j, with B_j = (C_j^H C_j)^{-1}
-    and C_j unitarily similar to A - z_j or its adjoint, in a new C-ordered
-    array; X is left alone, and rows only loses entries from call to
-    call.  The shifts of a block start from one seed vector,
-    each running the three-term Lanczos recurrence on its own B_j.  After
-    step k a shift's largest Ritz value theta (top eigenvalue of its k x k
-    tridiagonal, unit eigenvector y) has residual ||B_j v - theta v|| =
-    beta_k |y_k|; once that is at most SIGMA_TOL * theta the shift leaves
-    the active set with sigma = theta^{-1/2}.  A shift stops before its
-    top Ritz pair loses orthogonality, so no reorthogonalization is done.
-    A non-finite solve, or SIGMA_MAX_ITER steps, fails a shift: it takes
+    Blocks of at most entries // M shifts advance together, one Lanczos
+    vector per shift in the rows of a (shifts, M) array: C-ordered for
+    the tridiagonal factor, the transpose of a C-ordered (M, shifts)
+    array for the Schur and LU factors, whose solves run down columns.
+    factor(zb) prepares a block zb and returns its solve(X, rows): row j
+    of X, for the shift zb[rows[j]], becomes B_j x_j, with
+    B_j = (C_j^H C_j)^{-1} and C_j unitarily similar to A - z_j or its
+    adjoint, in a new array of X's layout; X is left alone, and rows only
+    loses entries from call to call.  The shifts of a block start from
+    one seed vector, each running the three-term Lanczos recurrence on
+    its own B_j.  After step k a shift's largest Ritz value theta (top
+    eigenvalue of its k x k tridiagonal, unit eigenvector y) has residual
+    ||B_j v - theta v|| = beta_k |y_k|; once that is at most
+    SIGMA_TOL * theta the shift leaves the active set with
+    sigma = theta^{-1/2}, and the kept rows past the new active count
+    move into the finished shifts' slots.  A shift stops before its top
+    Ritz pair loses orthogonality, so no reorthogonalization is done.  A
+    non-finite solve, or SIGMA_MAX_ITER steps, fails a shift: it takes
     the SVD of A - z (or raises ConvergenceError when strict).  Returns
     (sigma, indices of the SVD fallbacks, steps run by each shift).
     """
@@ -328,20 +374,25 @@ def _sigma_min_shifts(A, zs, factor, entries, strict=False):
     steps = np.full(zs.size, SIGMA_MAX_ITER)
     rng = np.random.default_rng(2024)
     seed = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    seed /= np.linalg.norm(seed)
+    rowwise = kind == "tridiagonal"
     width = max(1, entries // M)
     with np.errstate(all="ignore"):
         for lo in range(0, zs.size, width):
             active = np.arange(lo, min(lo + width, zs.size))
             solve = factor(zs[active])
-            Q = np.repeat(seed[:, None] / np.linalg.norm(seed), active.size, 1)
+            if rowwise:
+                Q = np.tile(seed, (active.size, 1))
+            else:
+                Q = np.repeat(seed[:, None], active.size, 1).T
             Qprev = np.zeros_like(Q)         # beta_0 = ab[:, 1, -1] = 0
             ab = np.zeros((active.size, 2, SIGMA_MAX_ITER))   # alpha, beta
             for k in range(SIGMA_MAX_ITER):
                 W = solve(Q, active - lo)
-                W -= np.multiply(Qprev, ab[:, 1, k - 1], out=Qprev)  # spent
-                ab[:, 0, k] = alpha = _real_dots(Q, W)
-                W -= np.multiply(Q, alpha, out=Qprev)
-                ab[:, 1, k] = beta = np.sqrt(_real_dots(W, W))
+                W -= np.multiply(Qprev, ab[:, 1, k - 1, None], out=Qprev)  # spent
+                ab[:, 0, k] = alpha = _real_dots(Q, W, rowwise)
+                W -= np.multiply(Q, alpha[:, None], out=Qprev)
+                ab[:, 1, k] = beta = np.sqrt(_real_dots(W, W, rowwise))
                 ok = np.isfinite(ab[:, :, k]).all(axis=1)
                 ab[~ok] = 0                  # a zero tridiagonal never stops
                 theta, res = _top_ritz(ab[:, :, :k + 1])
@@ -351,11 +402,15 @@ def _sigma_min_shifts(A, zs, factor, entries, strict=False):
                 steps[active[~keep]] = k + 1
                 if not keep.any():
                     break
-                del Qprev                    # one compacted copy at a time
-                active, ab, beta = active[keep], ab[keep], beta[keep]
-                Q = np.compress(keep, Q, axis=1)     # C order, unlike
-                W = np.compress(keep, W, axis=1)     # Q[:, keep]
-                W /= beta
+                del Qprev
+                n = np.count_nonzero(keep)
+                if n < keep.size:
+                    src = n + np.flatnonzero(keep[n:])
+                    dst = np.flatnonzero(~keep[:n])
+                    for X in (Q, W, ab, active, beta):
+                        X[dst] = X[src]
+                    Q, W, ab, active, beta = Q[:n], W[:n], ab[:n], active[:n], beta[:n]
+                W /= beta[:, None]
                 Qprev, Q = Q, W
     failed = np.flatnonzero(np.isnan(sigma))
     if strict and failed.size:
@@ -365,10 +420,15 @@ def _sigma_min_shifts(A, zs, factor, entries, strict=False):
     return sigma, failed, steps
 
 
-def _real_dots(X, Y):
-    """Re(x_j^H y_j) for every column pair of two C-ordered complex
-    arrays, summed over their interleaved real and imaginary parts."""
-    return np.einsum("ij,ij->j", X.view(float), Y.view(float)).reshape(-1, 2).sum(1)
+def _real_dots(X, Y, rowwise):
+    """Re(x_j^H y_j) for every row pair of two (shifts, M) complex arrays
+    in the layout of _sigma_min_shifts: along each C-ordered row's
+    interleaved real and imaginary parts when rowwise, else down the
+    columns of the transposes, real and imaginary sums apart."""
+    if rowwise:
+        return np.einsum("ij,ij->i", X.view(float), Y.view(float))
+    return np.einsum("ij,ij->j", X.T.view(float),
+                     Y.T.view(float)).reshape(-1, 2).sum(1)
 
 
 def _top_ritz(ab):
@@ -419,8 +479,9 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     method "svd" is a direct SVD of P - z: the band SVD when P is a band
     matrix with kl + ku <= M // _BAND_RATIO (see _sigma_min_band), the
     dense one otherwise.  The others run inverse Lanczos: "auto" and
-    "lu" on an LU factor of P - z (the O(M) tridiagonal one when P is
-    exactly tridiagonal), falling back to that SVD on failure; "schur"
+    "lu" on an LU factor of P - z (LAPACK's O(M) tridiagonal LU, gttrf,
+    when P is exactly tridiagonal), falling back to that SVD on failure,
+    a zero pivot included; "schur"
     on a complex Schur factor, raising ConvergenceError instead.  For
     one z the LU factor costs a fraction of the Schur form.
     """
@@ -431,8 +492,7 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
     with single_thread_below(A.shape[0]):
         if method == "svd":
             return _sigma_min_svd(A, z)
-        _, factor, entries = _factor(A, z, schur=method == "schur")
-        sigma = _sigma_min_shifts(A, [z], factor, entries,
+        sigma = _sigma_min_shifts(A, [z], *_factor(A, z, schur=method == "schur"),
                                   strict=method == "schur")[0]
     return float(sigma[0])
 
@@ -461,8 +521,9 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
 
     rectangle = (re_min, re_max, im_min, im_max); shape = (n_re, n_im).
     One Schur factorization serves every node, or, for an exactly
-    tridiagonal P, one tridiagonal LU factor per node (timing["factor"]
-    names which, None with force_svd); the nodes advance together
+    tridiagonal P, one Givens QR factor per node, stacked block by block
+    into one band (timing["factor"] names which, None with force_svd;
+    see _TridiagonalFactor); the nodes advance together
     through the blocked inverse Lanczos, whose Ritz step computes no
     eigenvectors (see _top_ritz), and nodes that fail it fall back to a
     direct SVD, band or dense as in resolvent_norm(method="svd") (count
@@ -494,7 +555,7 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
         else:
             kind, factor, entries = _factor(A)
             t_factor = time.perf_counter() - t0
-            sigma, failed, steps = _sigma_min_shifts(A, zs, factor, entries)
+            sigma, failed, steps = _sigma_min_shifts(A, zs, kind, factor, entries)
             if kind == "tridiagonal":        # factored block by block
                 t_factor += factor.seconds
         t_sweep = time.perf_counter() - t0 - t_factor

@@ -558,6 +558,27 @@ def test_fbi_coherent_state_peak():
     assert abs(xi_out[idx[1]] - xi0) <= 0.06
 
 
+def test_fbi_sums_blocks_of_the_grid():
+    # at M = 8192 with 81 x 81 outputs the product runs in two blocks of
+    # y; it equals the whole (81, M) x (M, 81) product to 1e-13
+    from pspeclab import quantize
+    h = 1e-3
+    grid = FourierGrid(8.0, 8192)
+    y = grid.points_1d()
+    u = np.exp(-(y - 1.0) ** 2 / (2 * h) + 1j * 2.0 * y / h)
+    x_out, xi_out = np.linspace(0.5, 1.5, 81), np.linspace(1.5, 2.5, 81)
+    calls = []
+    matmul = np.matmul
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
+        raw = quantize._fbi_raw(u, y, grid.dx, h, x_out, xi_out)
+    assert calls == [(81, 4315), (81, 8192 - 4315)]
+    win = np.exp(-(x_out[:, None] - y[None, :]) ** 2 / (2 * h))
+    phase = np.exp(-1j * y[:, None] * xi_out[None, :] / h)
+    whole = (win * u) @ phase * np.exp(1j * x_out[:, None] * xi_out / h) * grid.dx
+    assert np.abs(raw - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
 def test_fbi_isometry_on_random_smooth_vectors():
     h = 0.05
     grid = FourierGrid(8.0, 384)

@@ -163,7 +163,7 @@ def test_tridiagonal_grid_matches_the_schur_path(monkeypatch):
 
 
 def test_tridiagonal_solves_are_the_dense_solves_and_leave_x_alone():
-    # column j becomes (C^H C)^{-1} x_j, C = A - z_j, for the stacked
+    # row j becomes (C^H C)^{-1} x_j, C = A - z_j, for the stacked
     # block and after it is compacted to one shift; X keeps its bytes
     A = weyl_quantize_poly(ROT, HermiteBasis(40), h=0.1).matrix
     zs = np.array([0.5 + 0.2j, 1.3 - 0.1j, 0.3 + 0.4j])
@@ -173,13 +173,93 @@ def test_tridiagonal_solves_are_the_dense_solves_and_leave_x_alone():
     rng = np.random.default_rng(3)
     for rows in (np.arange(3), np.array([0, 2]), np.array([2])):
         X = rng.standard_normal((40, rows.size)) + 1j * rng.standard_normal((40, rows.size))
+        X = np.ascontiguousarray(X.T)          # shift-major rows
         before = X.tobytes()
         Y = solve(X, rows)
         assert X.tobytes() == before and Y.flags.c_contiguous
         for j, r in enumerate(rows):
             C = A - zs[r] * np.eye(40)
-            ref = np.linalg.solve(C, np.linalg.solve(C.conj().T, X[:, j]))
-            assert np.abs(Y[:, j] - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref = np.linalg.solve(C, np.linalg.solve(C.conj().T, X[j]))
+            assert np.abs(Y[j] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _band_to_dense(run):
+    """The upper triangular R of one (M, 3) run of LAPACK upper band
+    storage, kd = 2."""
+    return sum(np.diag(run[k:, 2 - k], k) for k in range(3))
+
+
+def _tridiagonal(A):
+    return np.diag(np.diagonal(A, -1), -1) + np.diag(np.diagonal(A)) + np.diag(np.diagonal(A, 1), 1)
+
+
+def test_givens_factor_is_a_qr_of_every_shift():
+    # R^H R = (A - z)^H (A - z) to 1e-14 ||A - z||^2, R upper triangular
+    # with positive r_i on the diagonal above the last row, on the
+    # rotated oscillator (real bands), a diagonal matrix (every t_i = 0)
+    # and a random complex tridiagonal
+    rng = np.random.default_rng(9)
+    M = 30
+    cases = {
+        "rotated": (weyl_quantize_poly(ROT, HermiteBasis(M), h=0.1).matrix,
+                    [0.5 + 0.2j, 1.3 - 0.1j, 2.0 + 1.0j, 0.0]),
+        "diagonal": (np.diag(rng.standard_normal(M)) + 0j, [0.25 + 0.5j, -1.0, 3j]),
+        "random": (_tridiagonal(rng.standard_normal((M, M))
+                                + 1j * rng.standard_normal((M, M))),
+                   [0.1 + 0.1j, -0.7 + 0.3j, 1.5 - 2.0j]),
+    }
+    for name, (A, zs) in cases.items():
+        factor = spectral._TridiagonalFactor(spectral._tridiagonal_bands(A))
+        R = spectral._givens_band(factor.bands, np.array(zs, dtype=complex))
+        assert R.shape == (len(zs), M, 3)
+        assert not R[:, 0, :2].any() and not R[:, 1, 0].any()    # no couplings
+        for z, run in zip(zs, R):
+            C = A - z * np.eye(M)
+            U = _band_to_dense(run)
+            assert (run[:-1, 2].real > 0).all() and not run[:-1, 2].imag.any()
+            err = np.abs(U.conj().T @ U - C.conj().T @ C).max()
+            assert err <= 1e-14 * np.linalg.norm(C, 2) ** 2, name
+
+
+def test_exact_eigenvalue_gets_an_identity_block():
+    # z = 0.3 = 3h is an eigenvalue of the diagonal oscillator matrix: a
+    # zero on R's diagonal and nan after it.  Its solves read nan, its
+    # neighbours in the stacked band stay finite and exact, and the grid
+    # sends it to the SVD
+    op = weyl_quantize_poly(OSC, HermiteBasis(64), h=0.1)
+    A = op.matrix
+    zs = np.array([0.25 + 0.05j, 0.3, 0.35 - 0.05j])
+    kind, factor, _ = spectral._factor(A)
+    assert kind == "tridiagonal"
+    with np.errstate(all="ignore"):
+        R = spectral._givens_band(factor.bands, zs)
+        assert (R[1, :, 2] == 0).any()
+        solve = factor(zs)
+    X = np.ones((3, 64), complex)
+    Y = solve(X, np.arange(3))
+    assert np.isnan(Y[1]).all() and np.isfinite(Y[[0, 2]]).all()
+    for j in (0, 2):
+        C = A - zs[j] * np.eye(64)
+        ref = np.linalg.solve(C, np.linalg.solve(C.conj().T, X[j]))
+        assert np.abs(Y[j] - ref).max() <= 1e-12 * np.abs(ref).max()
+    sigma, failed, _ = spectral._sigma_min_shifts(A, zs, kind, factor, 10 ** 4)
+    assert failed.tolist() == [1]
+    assert sigma[1] == resolvent_norm(op, 0.3, method="svd")
+    assert np.isfinite(sigma).all()
+
+
+def test_tridiagonal_grid_keeps_its_bytes_in_any_block_size(monkeypatch):
+    # each shift's solves, dots and Ritz steps touch only its own rows:
+    # blocks of 5 shifts, compacted as shifts finish, give one stack's bytes
+    op = weyl_quantize_poly(ROT, HermiteBasis(60), h=0.1)
+    rect, shape = (0.0, 1.0, -0.4, 0.4), (9, 7)
+    grids = []
+    for entries in (60 * 5, 60 * 63):
+        monkeypatch.setattr(spectral, "_STACK_ENTRIES", entries)
+        grids.append(pseudospectrum_grid(op, rect, shape))
+    one, five = grids[1], grids[0]
+    assert one.sigma.tobytes() == five.sigma.tobytes()
+    assert one.timing["sigma_steps"] == five.timing["sigma_steps"]
 
 
 def test_schur_method_still_builds_the_schur_factor(monkeypatch):
@@ -497,6 +577,12 @@ for name, symbol in (("rotated", "xi1^2 + xi1*1i + x1^2"),
         "norm": op.norm().hex(),
         "sigma": [spectral.resolvent_norm(A, z, method="svd").hex()
                   for z in (2 + 1j, 0.5 + 0.3j, 3.0 - 0.2j, 1.0)]}
+# one shift on the tridiagonal rotated oscillator at M=400, through the
+# lu and auto paths, at the four shifts of the band SVD entry
+A = weyl_quantize_poly(rot, HermiteBasis(400), 0.025).matrix
+runs["single"] = {m: [spectral.resolvent_norm(A, z, method=m).hex()
+                      for z in (2 + 1j, 0.5 + 0.3j, 3.0 - 0.2j, 1.0)]
+                  for m in ("lu", "auto")}
 print(json.dumps(runs))
 """
 
@@ -551,6 +637,14 @@ def test_band_svd_does_not_depend_on_blas_threads(blas_thread_runs):
     assert all("norm" in one[name] for name in ("rotated", "davies"))
     assert one["rotated"]["widths"] == [1, 1]
     assert one["davies"]["widths"] == [2, 2]
+    assert one == two
+
+
+def test_single_shift_tridiagonal_solves_do_not_depend_on_blas_threads(
+        blas_thread_runs):
+    # the one-shift tridiagonal LU calls no threaded BLAS kernel either
+    one, two = (run["single"] for run in blas_thread_runs)
+    assert len(one["lu"]) == len(one["auto"]) == 4
     assert one == two
 
 
