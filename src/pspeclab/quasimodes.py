@@ -31,7 +31,7 @@ from .quantize import (
     weyl_quantize_grid,
     weyl_quantize_poly,
 )
-from .spectral import ScalingFit, scaling_fit
+from .spectral import TAIL_TOL, ScalingFit, scaling_fit
 from .symbols import SymbolExpr
 
 __all__ = [
@@ -435,6 +435,13 @@ def _one_residual(p, qm, h, grid, quantizer):
                      @ np.stack([ub.real, ub.imag], axis=1))
             coeffs += parts[:, 0] + 1j * parts[:, 1]
         coeffs *= grid.dx
+        # the share of the beam's norm the M modes hold: below 1 - TAIL_TOL
+        # the beam leaves the basis and the residual would be wrong
+        mass = np.vdot(coeffs, coeffs).real / (nrm * nrm * grid.dx)
+        if not mass >= 1 - TAIL_TOL:
+            raise GridResolutionError(
+                f"beam not held by {M} Hermite modes at h={h}: "
+                f"captured mass {mass:.3e}")
         P = weyl_quantize_poly(p, HermiteBasis(M), h)
         r = np.linalg.norm(P.matrix @ coeffs - qm.z * coeffs) / np.linalg.norm(coeffs)
     else:

@@ -11,9 +11,10 @@ formed), and all its shifts advance together at O(M^2) per step each, instead of
 SVD; a single shift may use an LU factor.  An exactly tridiagonal P (the
 Hermite matrix of the rotated oscillator, whose x^2 and xi^2 terms cancel
 off the three diagonals) skips both: each shift gets its own
-O(M) Givens QR factor, and a block of shifts is solved by one band
-triangular solve pair on the stacked R factors (a single shift takes
-the tridiagonal LU).
+O(M) Givens QR factor, split into a diagonal and a unit triangular
+band, and a block of shifts is solved by two unit-diagonal band
+triangular sweeps on the stacked bands (a single shift takes the
+tridiagonal LU).
 
 The direct measure, method="svd" and the fallback of a shift inverse
 Lanczos fails, is an SVD of P - z: a band SVD when every non-zero of P
@@ -113,6 +114,7 @@ SIGMA_MAX_ITER = 50
 _BLOCK = 32              # diagonal block size of the Schur substitution
 _SHIFT_ENTRIES = 1 << 21  # cap on (shifts advanced together) x M
 _STACK_ENTRIES = 1 << 15  # the same cap when each shift keeps its own factor
+_FACTOR_ENTRIES = 1 << 16  # cap on (shifts in one Givens pass) x M
 _RITZ_BACKWARD = 1e-2 * SIGMA_TOL  # backward error the Ritz recurrence may keep
 
 
@@ -225,61 +227,99 @@ def _lu_solves(A, z):
 
 class _TridiagonalFactor:
     """Block factor (see _sigma_min_shifts) of an exactly tridiagonal A,
-    from a Givens QR of each A - z = QR (see _givens_band).  Since
-    (A - z)^H (A - z) = R^H R, the Lanczos operator is R^{-1} R^{-H}: two
-    band triangular sweeps, done by one LAPACK zpbtrs call, and Q is never
-    formed.  Plane rotations make the factor backward stable (Golub &
-    Van Loan, Matrix Computations, 4th ed., section 5.2), with no pivots.
+    from a Givens QR of each A - z = QR (see _givens_factor), kept as
+    R = D U: D is R's diagonal and U is unit upper triangular with two
+    superdiagonals.  Since (A - z)^H (A - z) = R^H R = U^H diag(1/w) U
+    with w = 1/|D|^2, the Lanczos operator is U^{-1} diag(w) U^{-H}: two
+    unit-diagonal band triangular sweeps (BLAS ztbsv, conjugate transpose
+    and then no transpose) around a real scaling, with no complex
+    division, and Q is never formed.  Plane rotations make the factor
+    backward stable (Golub & Van Loan, Matrix Computations, 4th ed.,
+    section 5.2), with no pivots.
 
-    R is upper triangular with two superdiagonals, kept in LAPACK's upper
-    band storage (kd = 2) as one (M, 3) run per shift, shift after shift:
-    a block of n shifts is one (3, n M) Fortran-ordered band whose
-    couplings between blocks are exact zeros.  Finished shifts leave by
-    moving the runs of kept shifts into their slots, in the order the
-    driver moves its rows.  A shift whose R diagonal holds a zero or a
-    non-finite entry (z on the spectrum) gets an identity block, since its
-    inf times a zero coupling would be nan in its neighbours, and its
-    solves read nan.  A block of one shift, as resolvent_norm makes,
-    takes the tridiagonal LU instead (see _lu).  seconds sums the time
-    spent in factoring."""
+    U is kept in LAPACK's upper band storage (kd = 2, the unit diagonal
+    slot unread) as one (M, 3) run per shift, shift after shift: a block
+    of n shifts is one (3, n M) Fortran-ordered band whose couplings
+    between shifts are exact zeros, and w is one (n, M) real array.  The
+    factor is wide: asked for the block zs[lo:hi], it factors a chunk of
+    shifts from lo, all the rest of zs when they fit in
+    _FACTOR_ENTRIES // M shifts and else as many whole blocks of hi - lo
+    shifts as fit (a block wider than that takes several Givens passes),
+    and serves the next blocks of the chunk as views, each row once.  A
+    block's solve is spent once the next block is asked for, which frees
+    its rows (and a chunk served in full) before a new chunk is
+    allocated.  Finished shifts leave by moving the runs of kept shifts,
+    and their w rows, into their slots, in the order the driver moves
+    its rows.  A shift whose R diagonal holds a zero or a non-finite
+    entry (z on the spectrum; some w_i not finite and positive) gets an
+    identity block, U = I and w = 1, since its inf times a zero coupling
+    would be nan in its neighbours, and its solves read nan.  A lone
+    shift, as resolvent_norm makes, takes the tridiagonal LU instead (see
+    _lu); a block of one shift in a longer zs takes its rows of the
+    chunk like any other.  seconds sums the time spent in factoring."""
 
     def __init__(self, bands):
         # real off-diagonals stay real, and so does each sine s
         self.bands = [b if b.imag.any() else b.real for b in bands]
         self.seconds = 0.0
+        self._ahead = None      # (zs, lo, U, w): a chunk's rows from zs[lo] on
+        self._swept = None      # (U, w, kept, bad) of the block being swept
 
-    def __call__(self, zs):
+    def __call__(self, zs, lo=0, hi=None):
         t0 = time.perf_counter()
-        solve = self._lu(zs[0]) if zs.size == 1 else self._qr(zs)
+        hi = zs.size if hi is None else hi
+        self._swept = None      # the last block's solve is spent
+        if zs.size == 1:
+            solve = self._lu(zs[0])
+        else:
+            U, w = self._block(zs, lo, hi)
+            bad = ~(np.isfinite(w) & (w > 0)).all(axis=1)
+            U[bad, :, :2] = 0
+            w[bad] = 1
+            self._swept, solve = (U, w, np.arange(hi - lo), bad), self._solve
         self.seconds += time.perf_counter() - t0
         return solve
 
-    def _qr(self, zs):
-        R = _givens_band(self.bands, zs)
-        n, M, _ = R.shape
-        bad = ~(np.isfinite(R[:, :, 2]) & (R[:, :, 2] != 0)).all(axis=1)
-        R[bad] = 0
-        R[bad, :, 2] = 1
-        kept = np.arange(n)
+    def _block(self, zs, lo, hi):
+        """(U, w) of the block zs[lo:hi]: views into the rest of the chunk
+        factored ahead when that starts at lo, else into a new chunk."""
+        ahead = self._ahead
+        if ahead is None or ahead[0] is not zs or ahead[1] != lo or len(ahead[3]) < hi - lo:
+            self._ahead = ahead = None         # frees the old chunk first
+            M, k = self.bands[1].size, hi - lo
+            width = max(1, _FACTOR_ENTRIES // M)
+            end = zs.size if zs.size - lo <= width else lo + max(k, width // k * k)
+            U, w = np.empty((end - lo, M, 3), complex), np.empty((end - lo, M))
+            for p in range(0, end - lo, width):
+                q = min(p + width, end - lo)
+                _givens_factor(self.bands, zs[lo + p:lo + q], (U[p:q], w[p:q]))
+            ahead = zs, lo, U, w
+        _, _, U, w = ahead
+        k = hi - lo
+        self._ahead = (zs, hi, U[k:], w[k:]) if k < len(w) else None
+        return U[:k], w[:k]
 
-        def solve(X, rows):
-            nonlocal R, kept
-            k = rows.size
-            if k < kept.size:                  # fill the finished slots
-                at = np.empty(n, int)
-                at[kept] = np.arange(kept.size)
-                src = at[rows]
-                moved = np.flatnonzero(src != np.arange(k))
-                R[moved] = R[src[moved]]
-                R, kept = R[:k], rows
-            b = X.reshape(-1, 1).copy()        # shift after shift
-            zpbtrs = scipy.linalg.lapack.zpbtrs
-            b = zpbtrs(R.reshape(-1, 3).T, b, lower=0, overwrite_b=1)[0]
-            Y = b.reshape(k, M)
-            Y[bad[rows]] = np.nan
-            return Y
-
-        return solve
+    def _solve(self, X, rows):
+        """Row j of X, for the shift rows[j] of the block being swept,
+        becomes U^{-1} diag(w) U^{-H} x_j, in a new array."""
+        U, w, kept, bad = self._swept
+        k = rows.size
+        if k < kept.size:                      # fill the finished slots
+            at = np.empty(bad.size, int)
+            at[kept] = np.arange(kept.size)
+            src = at[rows]
+            moved = np.flatnonzero(src != np.arange(k))
+            U[moved], w[moved] = U[src[moved]], w[src[moved]]
+            U, w = U[:k], w[:k]
+            self._swept = U, w, rows, bad
+        band = U.reshape(-1, 3).T
+        tbsv = scipy.linalg.blas.ztbsv
+        y = tbsv(2, band, X.reshape(-1), trans=2, diag=1)       # U^H y = x
+        Y = y.reshape(k, -1)
+        Y *= w
+        tbsv(2, band, y, trans=0, diag=1, overwrite_x=1)        # U x = y
+        Y[bad[rows]] = np.nan
+        return Y
 
     def _lu(self, z):
         """Solve for one shift through LAPACK's tridiagonal LU with
@@ -295,52 +335,67 @@ class _TridiagonalFactor:
             *lu, lapack.zgttrs(*lu, X.T, trans="C")[0], trans="N")[0].T
 
 
-def _givens_band(bands, zs):
-    """R of A - z = QR for each shift z in zs, A tridiagonal with sub-,
-    main and super-diagonal bands = (t, d, u), in LAPACK's upper band
-    storage: R[j, i] = (R_{i-2,i}, R_{i-1,i}, R_ii) for zs[j], zeros
-    above the matrix.  A numpy loop over the rows, vectorized across the
-    shifts: row i carries a_i on the diagonal and b_i right of it
-    (a_0 = d_0, b_0 = u_0) and is rotated against row i + 1 by
-    [[conj c, conj s], [-s, c]], c = a_i / r_i, s = t_i / r_i,
-    r_i = |(a_i, t_i)|, which writes R_ii = r_i,
-    R_{i,i+1} = conj(c) b_i + conj(s) d_{i+1} and R_{i,i+2} = conj(s) u_{i+1},
-    and carries a_{i+1} = c d_{i+1} - s b_i and b_{i+1} = c u_{i+1}."""
+def _givens_factor(bands, zs, out=None):
+    """(U, w) of A - z = Q D U for each shift z in zs (see
+    _TridiagonalFactor), A tridiagonal with sub-, main and super-diagonal
+    bands = (t, d, u): U[j] is the (M, 3) run of LAPACK's upper band
+    storage of U for zs[j], U[j, i] = (U_{i-2,i}, U_{i-1,i}, 1), zeros
+    above the matrix, and w[j, i] = 1/|D_i|^2.  Written into out, a pair
+    of (shifts, M, 3) complex and (shifts, M) real arrays, when given.
+
+    A numpy loop over the rows, vectorized across the shifts: row i
+    carries a_i on the diagonal and b_i right of it (a_0 = d_0,
+    b_0 = u_0) and is rotated against row i + 1 by
+    [[conj c, conj s], [-s, c]], c = a_i / r_i, s = t_i / r_i, with
+    rho_i = |a_i|^2 + |t_i|^2 and r_i = sqrt(rho_i).  That makes
+    D_i = r_i and, dividing by multiplying with 1/rho_i and 1/r_i, writes
+    U_{i,i+1} = (conj(a_i) b_i + conj(t_i) d_{i+1}) / rho_i,
+    U_{i,i+2} = conj(t_i) u_{i+1} / rho_i and w_i = 1/rho_i, and carries
+    a_{i+1} = (a_i d_{i+1} - t_i b_i) / r_i and b_{i+1} = a_i u_{i+1} / r_i;
+    the last row has D_{M-1} = a_{M-1}.  Each row's w_i and U_{i,i+1}
+    are written straight into w and U, and U_{i,i+2} = conj(t_i) u_{i+1}
+    w_i after the loop: no scratch of size M x shifts is allocated."""
     sub, diag, sup = bands
-    sup = np.append(sup, 0)                    # no R_{M-2, M}
-    dz = np.subtract.outer(diag, zs)
-    a, b = dz[0], sup[0]
-    on, first, second = [], [], []             # R_ii, R_{i,i+1}, R_{i,i+2}
+    M = diag.size
+    U, w = out or (np.empty((zs.size, M, 3), complex), np.empty((zs.size, M)))
+    U[:, :2, 0] = U[:, 0, 1] = 0               # no couplings
+    U[:, :, 2] = 1
+    sup = np.append(sup, 0)                    # nothing right of the last row
+    tt, tc = abs(sub) ** 2, np.conj(sub)
+    a, b = diag[0] - zs, sup[0]
     for i, t in enumerate(sub):
-        d, u = dz[i + 1], sup[i + 1]
-        r = np.hypot(np.abs(a), abs(t))
-        c, s = a / r, t / r
-        sc = s.conjugate()
-        on.append(r)
-        first.append(c.conjugate() * b + sc * d)
-        second.append(sc * u)
-        a, b = c * d - s * b, c * u
-    on.append(a)
-    R = np.zeros((zs.size, diag.size, 3), complex)
-    R[:, :, 2], R[:, 1:, 1], R[:, 2:, 0] = (np.array(v).T for v in (on, first, second[:-1]))
-    return R
+        d = diag[i + 1] - zs
+        ac = a.conj()
+        inv = np.divide(1, (a * ac).real + tt[i], out=w[:, i])
+        first = ac * b
+        first += tc[i] * d
+        np.multiply(first, inv, out=U[:, i + 1, 1])
+        ir = np.sqrt(inv)
+        a, b = (a * d - t * b) * ir, a * (sup[i + 1] * ir)
+    np.multiply(tc[:-1] * sup[1:-1], w[:, :-2], out=U[:, 2:, 0])
+    np.divide(1, (a * a.conj()).real, out=w[:, -1])
+    return U, w
 
 
 def _factor(A, z=None, schur=False):
     """(kind, block factor, entries) for _sigma_min_shifts on A: the
     stacked tridiagonal QR when A is exactly tridiagonal and schur is not
     set; otherwise the shared Schur factor, or without schur and for the
-    one shift z, the LU factor of A - z.  entries caps the blocks."""
+    one shift z, the LU factor of A - z.  entries caps the blocks.
+
+    factor(zs, lo, hi) prepares the block zs[lo:hi] of the shift array
+    zs (all of it by default) and returns its solve; the tridiagonal
+    factor reads the shifts after the block to factor them ahead."""
     bands = None if schur else _tridiagonal_bands(A)
     if bands is not None:
         return ("tridiagonal", _TridiagonalFactor(bands),
                 min(_STACK_ENTRIES, _SHIFT_ENTRIES))
     if z is not None and not schur:
         solve = _lu_solves(A, z)
-        return "lu", lambda zs: solve, _SHIFT_ENTRIES
+        return "lu", lambda zs, lo=0, hi=None: solve, _SHIFT_ENTRIES
     solves = _schur_solves(A)
-    return ("schur", lambda zs: lambda X, rows: solves(X.T.copy(), zs[rows]).T,
-            _SHIFT_ENTRIES)
+    return ("schur", lambda zs, lo=0, hi=None: lambda X, rows:
+            solves(X.T.copy(), zs[lo:hi][rows]).T, _SHIFT_ENTRIES)
 
 
 def _sigma_min_shifts(A, zs, kind, factor, entries, strict=False):
@@ -351,14 +406,16 @@ def _sigma_min_shifts(A, zs, kind, factor, entries, strict=False):
     vector per shift in the rows of a (shifts, M) array: C-ordered for
     the tridiagonal factor, the transpose of a C-ordered (M, shifts)
     array for the Schur and LU factors, whose solves run down columns.
-    factor(zb) prepares a block zb and returns its solve(X, rows): row j
-    of X, for the shift zb[rows[j]], becomes B_j x_j, with
-    B_j = (C_j^H C_j)^{-1} and C_j unitarily similar to A - z_j or its
-    adjoint, in a new array of X's layout; X is left alone, and rows only
-    loses entries from call to call.  The shifts of a block start from
-    one seed vector, each running the three-term Lanczos recurrence on
-    its own B_j.  After step k a shift's largest Ritz value theta (top
-    eigenvalue of its k x k tridiagonal, unit eigenvector y) has residual
+    factor(zs, lo, hi) prepares the block zb = zs[lo:hi] and returns its
+    solve(X, rows): row j of X, for the shift zb[rows[j]], becomes
+    B_j x_j, with B_j = (C_j^H C_j)^{-1} and C_j unitarily similar to
+    A - z_j or its adjoint, in a new array of X's layout; X is left
+    alone, rows only loses entries from call to call, and a block's
+    solve is not called once the next block is prepared.  The shifts of
+    a block start from one seed vector, each running the three-term
+    Lanczos recurrence on its own B_j.  After step k a shift's largest
+    Ritz value theta (top eigenvalue of its k x k tridiagonal, unit
+    eigenvector y) has residual
     ||B_j v - theta v|| = beta_k |y_k|; once that is at most
     SIGMA_TOL * theta the shift leaves the active set with
     sigma = theta^{-1/2}, and the kept rows past the new active count
@@ -380,7 +437,7 @@ def _sigma_min_shifts(A, zs, kind, factor, entries, strict=False):
     with np.errstate(all="ignore"):
         for lo in range(0, zs.size, width):
             active = np.arange(lo, min(lo + width, zs.size))
-            solve = factor(zs[active])
+            solve = factor(zs, lo, lo + active.size)
             if rowwise:
                 Q = np.tile(seed, (active.size, 1))
             else:
@@ -521,9 +578,11 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
 
     rectangle = (re_min, re_max, im_min, im_max); shape = (n_re, n_im).
     One Schur factorization serves every node, or, for an exactly
-    tridiagonal P, one Givens QR factor per node, stacked block by block
-    into one band (timing["factor"] names which, None with force_svd;
-    see _TridiagonalFactor); the nodes advance together
+    tridiagonal P, one Givens QR factor per node, computed in chunks of
+    up to _FACTOR_ENTRIES // M nodes and kept as a unit triangular band
+    and a real scaling, stacked block by block (timing["factor"] names
+    which, None with force_svd; timing["factorization_s"] counts each
+    chunk once; see _TridiagonalFactor); the nodes advance together
     through the blocked inverse Lanczos, whose Ritz step computes no
     eigenvectors (see _top_ritz), and nodes that fail it fall back to a
     direct SVD, band or dense as in resolvent_norm(method="svd") (count

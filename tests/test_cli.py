@@ -562,6 +562,17 @@ def test_quasimode_command(tmp_path):
     assert payload["phase_positivity"]["worst_margin"] < -0.1
 
 
+def test_quasimode_beam_outside_the_hermite_modes_exits_3(tmp_path):
+    cfg = {"symbol": "xi1^2+xi1*1i+x1^2", "point": [1.0, 1.0], "order": 0,
+           "delta": 0.5, "h_list": [1e-3, 0.05, 0.035, 0.025], "path": "hermite"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "q"
+    assert run_cli(["quasimode", "--config", str(path), "--out", str(out)]) == 3
+    man = _assert_failed_cleanly(out, "GridResolutionError")
+    assert "captured mass" in man["error"]
+
+
 def _container_basis_header(path):
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])

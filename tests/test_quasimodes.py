@@ -186,11 +186,11 @@ def test_hermite_and_grid_paths_agree():
 
 
 def test_hermite_residual_samples_the_beam_support_in_blocks():
-    # at h = 1e-3 the rotated beam lies on an M = 8192 grid, where a full
+    # at h = 1.5e-3 the rotated beam lies on an M = 8192 grid, where a full
     # table of the 800 Hermite functions takes 50 MiB; blocks on the
     # cutoff support keep the peak near the 10 MiB M = 800 Hermite matrix
     qm = build_quasimode(ROT, [1, 1], 0, 0.5)
-    h = 1e-3
+    h = 1.5e-3
     grid = _grid_for_beam(qm, h)
     assert grid.M == 8192
     _one_residual(ROT, qm, h, grid, "hermite")          # warm-up
@@ -209,6 +209,17 @@ def test_hermite_residual_samples_the_beam_support_in_blocks():
     P = weyl_quantize_poly(ROT, HermiteBasis(800), h).matrix
     ref = np.linalg.norm(P @ coeffs - qm.z * coeffs) / np.linalg.norm(coeffs)
     assert r == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_hermite_residual_refuses_a_beam_its_modes_cannot_hold():
+    # at h = 1e-3 the 800 Hermite modes hold a 1e-11 share of the rotated
+    # beam's norm, where the residual would read about 1 (the grid path
+    # gives 3.6e-3); at h = 0.1 they miss only 3.2e-8 of it
+    qm = build_quasimode(ROT, [1, 1], 0, 0.5)
+    with pytest.raises(GridResolutionError, match="h=0.001: captured mass"):
+        _one_residual(ROT, qm, 1e-3, _grid_for_beam(qm, 1e-3), "hermite")
+    r, _ = _one_residual(ROT, qm, 0.1, _grid_for_beam(qm, 0.1), "hermite")
+    assert 0 < r < 1
 
 
 def test_non_polynomial_beam_takes_the_dense_grid_path(monkeypatch):

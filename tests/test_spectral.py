@@ -194,8 +194,8 @@ def _tridiagonal(A):
 
 
 def test_givens_factor_is_a_qr_of_every_shift():
-    # R^H R = (A - z)^H (A - z) to 1e-14 ||A - z||^2, R upper triangular
-    # with positive r_i on the diagonal above the last row, on the
+    # U^H diag(1/w) U = (A - z)^H (A - z) to 1e-14 ||A - z||^2, U unit
+    # upper triangular and w positive, on the
     # rotated oscillator (real bands), a diagonal matrix (every t_i = 0)
     # and a random complex tridiagonal
     rng = np.random.default_rng(9)
@@ -210,14 +210,14 @@ def test_givens_factor_is_a_qr_of_every_shift():
     }
     for name, (A, zs) in cases.items():
         factor = spectral._TridiagonalFactor(spectral._tridiagonal_bands(A))
-        R = spectral._givens_band(factor.bands, np.array(zs, dtype=complex))
-        assert R.shape == (len(zs), M, 3)
-        assert not R[:, 0, :2].any() and not R[:, 1, 0].any()    # no couplings
-        for z, run in zip(zs, R):
+        runs, w = spectral._givens_factor(factor.bands, np.array(zs, dtype=complex))
+        assert runs.shape == (len(zs), M, 3) and w.shape == (len(zs), M)
+        assert not runs[:, 0, :2].any() and not runs[:, 1, 0].any()    # no couplings
+        for z, run, wz in zip(zs, runs, w):
             C = A - z * np.eye(M)
             U = _band_to_dense(run)
-            assert (run[:-1, 2].real > 0).all() and not run[:-1, 2].imag.any()
-            err = np.abs(U.conj().T @ U - C.conj().T @ C).max()
+            assert (run[:, 2] == 1).all() and (wz > 0).all()
+            err = np.abs(U.conj().T @ (U / wz[:, None]) - C.conj().T @ C).max()
             assert err <= 1e-14 * np.linalg.norm(C, 2) ** 2, name
 
 
@@ -232,8 +232,8 @@ def test_exact_eigenvalue_gets_an_identity_block():
     kind, factor, _ = spectral._factor(A)
     assert kind == "tridiagonal"
     with np.errstate(all="ignore"):
-        R = spectral._givens_band(factor.bands, zs)
-        assert (R[1, :, 2] == 0).any()
+        _, w = spectral._givens_factor(factor.bands, zs)
+        assert np.isinf(w[1]).any()
         solve = factor(zs)
     X = np.ones((3, 64), complex)
     Y = solve(X, np.arange(3))
@@ -260,6 +260,55 @@ def test_tridiagonal_grid_keeps_its_bytes_in_any_block_size(monkeypatch):
     one, five = grids[1], grids[0]
     assert one.sigma.tobytes() == five.sigma.tobytes()
     assert one.timing["sigma_steps"] == five.timing["sigma_steps"]
+
+
+def test_tridiagonal_grid_keeps_its_bytes_in_any_factor_chunk(monkeypatch):
+    # the Givens pass treats each shift on its own: passes of 2 shifts, of
+    # 3 (a 5-shift Lanczos block takes two passes) and of the whole grid
+    # (one chunk, served block by block) give the same sigma bytes and
+    # stop decisions, and so do Lanczos blocks of 62 shifts and 1, the
+    # last node taking its QR rows and not the one-shift LU
+    op = weyl_quantize_poly(ROT, HermiteBasis(60), h=0.1)
+    rect, shape = (0.0, 1.0, -0.4, 0.4), (9, 7)
+    grids = []
+    for block, shifts in ((5, 2), (5, 3), (62, 63), (5, 63)):
+        monkeypatch.setattr(spectral, "_STACK_ENTRIES", 60 * block)
+        monkeypatch.setattr(spectral, "_FACTOR_ENTRIES", 60 * shifts)
+        grids.append(pseudospectrum_grid(op, rect, shape))
+    whole = grids[-1]
+    for grid in grids[:-1]:
+        assert grid.sigma.tobytes() == whole.sigma.tobytes()
+        assert grid.timing["sigma_steps"] == whole.timing["sigma_steps"]
+
+
+def _refined_solve(C, b):
+    """C^{-1} b refined once, its residual taken in extended precision."""
+    y = np.linalg.solve(C, b)
+    wide = np.clongdouble
+    r = b.astype(wide) - C.astype(wide) @ y.astype(wide)
+    return y + np.linalg.solve(C, r.astype(complex))
+
+
+def test_tridiagonal_solves_meet_a_refined_reference():
+    # row j becomes (C^H C)^{-1} x_j, C = A - z_j, within 0.1 cond(C) eps
+    # of a reference whose two solves are each refined once; the shifts
+    # lie near the eigenvalues 0.35, 0.55, ... (cond up to 4e7) and away
+    # from them (cond down to 24; below about 20 the rounding of the
+    # reference itself reaches 0.1 cond eps)
+    A = weyl_quantize_poly(ROT, HermiteBasis(36), h=0.1).matrix
+    zs = np.array([0.35 + 1e-3j, 0.55 - 1e-2j, 0.75 + 0.05j, 0.95 - 0.02j,
+                   1.3 - 0.1j, 1.5 + 0.01j, 2.2 + 0.1j, 2.6 - 0.05j,
+                   1.8 + 0.4j, 0.5 + 0.2j, 0.3 + 0.4j, 0.45j])
+    solve = spectral._factor(A)[1](zs)
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((12, 36)) + 1j * rng.standard_normal((12, 36))
+    Y = solve(X, np.arange(12))
+    eps = np.finfo(float).eps
+    for x, y, z in zip(X, Y, zs):
+        C = A - z * np.eye(36)
+        ref = _refined_solve(C, _refined_solve(C.conj().T, x))
+        err = np.abs(y - ref).max() / np.abs(ref).max()
+        assert err <= 0.1 * np.linalg.cond(C) * eps, z
 
 
 def test_schur_method_still_builds_the_schur_factor(monkeypatch):
