@@ -34,13 +34,14 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from ._blas import band_bidiagonal, band_bidiagonal_found, single_thread_below
-from .errors import GridResolutionError, NotPolynomialError, PspecError
+from .errors import GridResolutionError, NonFiniteError, NotPolynomialError, PspecError
 from .symbols import PolySymbol, SymbolExpr, _check_finite, symbol_from_poly
 
 __all__ = [
@@ -312,10 +313,12 @@ class _Band:
 
 def _bandwidths(A, most):
     """(kl, ku), the fewest sub- and super-diagonals that hold every
-    non-zero of the square A, when kl + ku <= most; else None.  The
-    non-zeros of A are counted once, then those of each diagonal pair
-    outward from the main one until the count is reached, so no M x M
-    temporary is made and at most 2 most + 1 diagonals are read."""
+    non-zero of the square A, when kl + ku <= most; else None, at once if
+    diagonal +-(most + 1) holds one.  The non-zeros of A are counted once,
+    then those of each diagonal pair outward until the count is reached:
+    no M x M temporary is made and at most 2 most + 3 diagonals are read."""
+    if np.diagonal(A, most + 1).any() or np.diagonal(A, -most - 1).any():
+        return None
     left = np.count_nonzero(A) - np.count_nonzero(np.diagonal(A))
     kl = ku = 0
     for k in range(1, most + 1):
@@ -334,13 +337,29 @@ def _bandwidths(A, most):
 _BAND_RATIO = 16
 
 
-def _band_widths(A):
-    """(kl, ku) of A (see _bandwidths) when kl + ku <= M // _BAND_RATIO
-    and zgbbrd is bound: the matrices whose singular values come from
-    _band_singular_value.  Else None, and the dense SVD serves."""
-    if not band_bidiagonal_found():
-        return None
-    return _bandwidths(A, A.shape[0] // _BAND_RATIO)
+class _Structure(NamedTuple):
+    """What _scan finds in a square matrix of order M."""
+
+    widths: tuple | None    # (kl, ku) if kl + ku <= max(2, M // _BAND_RATIO)
+    band: tuple | None      # widths if kl + ku <= M // _BAND_RATIO and zgbbrd is bound
+    tridiagonal: bool       # kl, ku <= 1 and M >= 3
+    real: bool              # no non-zero imaginary part
+    finite: bool            # no inf or nan
+
+
+def _scan(A):
+    """The _Structure of the square A.  A band matrix is tested for
+    realness and finiteness on its diagonals alone, any other on all of
+    it.  Orders 1 and 2 are not tridiagonal here, so they keep the Schur
+    and LU paths of the sigma_min sweep, and with them their bytes."""
+    M = A.shape[0]
+    widths = _bandwidths(A, max(2, M // _BAND_RATIO))
+    parts = [A] if widths is None else [A.diagonal(k) for k in range(-widths[0], widths[1] + 1)]
+    narrow = widths is not None and sum(widths) <= M // _BAND_RATIO
+    return _Structure(widths, widths if narrow and band_bidiagonal_found() else None,
+                      M >= 3 and widths is not None and max(widths) <= 1,
+                      not any(np.iscomplexobj(d) and d.imag.any() for d in parts),
+                      all(np.isfinite(d).all() for d in parts))
 
 
 def _band_singular_value(A, z, kl, ku, index):
@@ -373,42 +392,31 @@ def _band_singular_value(A, z, kl, ku, index):
     return float(abs(w[0]))
 
 
-def _tridiagonal_bands(A):
-    """The sub-, main and super-diagonal of A when every other entry is
-    an exact zero (see _bandwidths) and the order is at least 3, else
-    None.  Every matrix of order 1 or 2 is trivially tridiagonal; they
-    keep the Schur and LU paths of the sigma_min sweep they have always
-    taken, and with them their bytes."""
-    widths = _bandwidths(A, 2) if A.shape[0] >= 3 else None
-    if widths is None or max(widths) > 1:
-        return None
-    return [np.diagonal(A, k) for k in (-1, 0, 1)]
-
-
 @dataclass
 class OperatorMatrix:
-    """Dense matrix discretization of a quantized symbol."""
+    """Dense matrix discretization of a quantized symbol, scanned once (_scan)."""
 
     matrix: np.ndarray
     h: float
     basis: object
     provenance: str = ""
     meta: dict = field(default_factory=dict)
+    _structure: _Structure = field(init=False, repr=False, compare=False)
 
     @property
     def size(self):
         return self.matrix.shape[0]
 
     def norm(self):
-        """||P||_2, computed once.  A band matrix (see _band_widths)
-        takes it from the band SVD, eigenvalue 2M of its Golub-Kahan
-        tridiagonal (within a few ulp of the dense SVD's value); any
-        other matrix takes the dense SVD of np.linalg.norm(P, 2)."""
+        """||P||_2, computed once.  A band matrix (see _scan) takes it from
+        the band SVD, eigenvalue 2M of its Golub-Kahan tridiagonal (within
+        a few ulp of the dense SVD's value); any other matrix takes the
+        dense SVD of np.linalg.norm(P, 2)."""
         if "norm2" not in self.meta:
-            widths = _band_widths(self.matrix)
+            band = self._structure.band
             self.meta["norm2"] = (
-                float(np.linalg.norm(self.matrix, 2)) if widths is None
-                else _band_singular_value(self.matrix, 0, *widths, 2 * self.size))
+                float(np.linalg.norm(self.matrix, 2)) if band is None
+                else _band_singular_value(self.matrix, 0, *band, 2 * self.size))
         return self.meta["norm2"]
 
     def hermiticity_defect(self):
@@ -418,7 +426,9 @@ class OperatorMatrix:
                          / max(np.linalg.norm(m), 1e-300))
 
     def __post_init__(self):
-        _check_finite(self.matrix, "operator matrix has non-finite entries")
+        self._structure = _scan(self.matrix)
+        if not self._structure.finite:
+            raise NonFiniteError("operator matrix has non-finite entries")
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +610,7 @@ def weyl_quantize_grid(p, grid: FourierGrid, h: float, xi_limit="auto",
         p_inf = _resolve_xi_limit(p, xi_limit, mids, xi)
         A = _midpoint_kernel(profile, M, tail_frac_tol)
     A.reshape(-1)[::M + 1] += p_inf[::2]
-    return OperatorMatrix(A, h, grid, provenance="weyl_grid",
-                          meta={"xi_window": float(np.abs(xi).max())})
+    return OperatorMatrix(A, h, grid, provenance="weyl_grid")
 
 
 _KERNEL_ENTRIES = 1 << 15  # cap on (midpoint rows per block) x M
@@ -796,8 +805,7 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 30,
              else Gx @ smooth_xi)
     A = _midpoint_kernel(lambda r: np.fft.ifftshift(c[r], axes=1), M,
                          tail_frac_tol)
-    return OperatorMatrix(A, h, basis, provenance="wick(lattice)",
-                          meta={"xi_window": float(np.abs(basis.dual_1d(h)).max())})
+    return OperatorMatrix(A, h, basis, provenance="wick(lattice)")
 
 
 @functools.cache

@@ -5,23 +5,23 @@ sigma_min(P - z) is the reciprocal of the resolvent norm and the
 computational currency of every experiment here.  One inverse-Lanczos
 driver serves any set of shifts: it runs Lanczos on ((P - z)^H (P - z))^{-1},
 whose largest eigenvalue is sigma_min^-2, and stops a shift once the Ritz
-residual of its top Ritz value is at most SIGMA_TOL times that value.  A
-grid shares one complex Schur factor T of P = Q T Q* (Q is never
-formed), and all its shifts advance together at O(M^2) per step each, instead of the O(M^3) of a full
-SVD; a single shift may use an LU factor.  An exactly tridiagonal P (the
-Hermite matrix of the rotated oscillator, whose x^2 and xi^2 terms cancel
-off the three diagonals) skips both: each shift gets its own
-O(M) Givens QR factor, split into a diagonal and a unit triangular
-band, and a block of shifts is solved by two unit-diagonal band
-triangular sweeps on the stacked bands (a single shift takes the
-tridiagonal LU).
+residual of its top Ritz value is at most SIGMA_TOL times that value.  Its
+factor, and every SVD, follows the record of P's one scan (P._structure,
+see quantize._scan).  A grid shares one Schur factor T of P = Q T Q* (Q
+is never formed; the real form for a real P), and its shifts advance
+together at O(M^2) per step each instead of the O(M^3) of a full SVD; a
+single shift may use an LU factor.  An exactly tridiagonal P (the
+Hermite matrix of the rotated oscillator) skips both: each shift gets
+its own O(M) Givens QR factor, a diagonal and a unit triangular band,
+and a block of shifts is solved by two band triangular sweeps (a single
+shift takes the tridiagonal LU).
 
 The direct measure, method="svd" and the fallback of a shift inverse
 Lanczos fails, is an SVD of P - z: a band SVD when every non-zero of P
-lies within a narrow band (zgbbrd's bidiagonal, then one bisection for
-the smallest singular value, O(M^2 (kl + ku))), the dense O(M^3) one
-otherwise.  force_svd grids always take the dense SVD, the reference
-the fast paths are checked against.
+lies within a narrow band (zgbbrd's bidiagonal, then one bisection,
+O(M^2 (kl + ku))), the dense O(M^3) one otherwise.  force_svd grids
+always take the dense SVD, the reference the fast paths are checked
+against.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ import scipy.linalg
 
 from ._blas import single_thread_below
 from .errors import ConvergenceError, PspecError
-from .quantize import (OperatorMatrix, _band_singular_value, _band_widths,
-                       _tridiagonal_bands)
-from .quantize import _BAND_RATIO, _bandwidths  # noqa: F401  (re-exported)
+from .quantize import OperatorMatrix, _band_singular_value, _scan
 
 __all__ = [
     "SpectrumReport",
@@ -128,13 +126,11 @@ def _shifted(A, z):
     return B
 
 
-def _sigma_min_svd(A, z):
-    """sigma_min(A - z) by a direct SVD: the band kernel when A is a
-    narrow band matrix (see _band_widths), else the dense one."""
-    widths = _band_widths(A)
-    if widths is None:
-        return _sigma_min_dense(A, z)
-    return _sigma_min_band(A, z, *widths)
+def _sigma_min_svd(A, s, z):
+    """sigma_min(A - z) by a direct SVD: the band kernel where A's
+    structure s has band set (see _scan), else the dense one."""
+    band = s.band
+    return _sigma_min_dense(A, z) if band is None else _sigma_min_band(A, z, *band)
 
 
 def _sigma_min_dense(A, z):
@@ -148,22 +144,22 @@ def _sigma_min_band(A, z, kl, ku):
     return _band_singular_value(A, z, kl, ku, A.shape[0] + 1)
 
 
-def _schur_T(A):
+def _schur_T(A, real):
     """Upper triangular T unitarily similar to A; no Schur vectors.
 
     A complex A takes scipy's complex Schur form (zgees).  A real A (real
-    dtype, or an imaginary part that is exactly zero) takes the real
-    quasi-triangular form of dgees, and each 2x2 diagonal block, rows j
-    and j+1, is split by one complex Givens rotation applied to T alone,
-    by the rule of scipy.linalg.rsf2csf (Golub & Van Loan, section 7.4):
-    with lambda_j = wr_j + i wi_j the block eigenvalue dgees returns,
+    set, see _scan) takes the real quasi-triangular form of dgees, and
+    each 2x2 diagonal block, rows j and j+1, is split by one complex
+    Givens rotation applied to T alone, by the rule of
+    scipy.linalg.rsf2csf (Golub & Van Loan, section 7.4): with
+    lambda_j = wr_j + i wi_j the block eigenvalue dgees returns,
     mu = lambda_j - T[j+1, j+1] and (c, s) = (mu, T[j+1, j]) / |(mu,
     T[j+1, j])|, G_j = [[conj(c), s], [-s, c]] makes G_j T G_j^H zero at
     (j+1, j) and puts lambda_j at (j, j).  The G_j act on disjoint row
     and column pairs, so they are applied all at once."""
-    if np.iscomplexobj(A) and A.imag.any():
-        return scipy.linalg.schur(A, output="complex")[0]
-    a = np.array(np.asarray_chkfinite(A).real, order="F")
+    if not real:
+        return scipy.linalg.schur(A, output="complex", check_finite=False)[0]
+    a = np.array(A.real, order="F")
     gees = scipy.linalg.lapack.dgees
     select = lambda wr, wi: None            # never called: sort_t=0
     lwork = int(gees(select, a, compute_v=0, lwork=-1)[-2][0])
@@ -186,13 +182,13 @@ def _schur_T(A):
     return T
 
 
-def _schur_solves(A):
+def _schur_solves(A, real):
     """Solve pair on the complex Schur factor T of A (see _schur_T):
     column j of X becomes ((T - z_j)^H (T - z_j))^{-1} x_j, in place.
     The off-diagonal blocks of T - z_j do not depend on z_j, so one GEMM
     updates every shift; only the diagonal blocks are solved per shift,
     row by row."""
-    T = _schur_T(A)
+    T = _schur_T(A, real)
     M = T.shape[0]
     TH = np.ascontiguousarray(T.conj().T)
     d = np.diag(T)
@@ -258,9 +254,9 @@ class _TridiagonalFactor:
     _lu); a block of one shift in a longer zs takes its rows of the
     chunk like any other.  seconds sums the time spent in factoring."""
 
-    def __init__(self, bands):
+    def __init__(self, A):
         # real off-diagonals stay real, and so does each sine s
-        self.bands = [b if b.imag.any() else b.real for b in bands]
+        self.bands = [b if b.imag.any() else b.real for b in map(A.diagonal, (-1, 0, 1))]
         self.seconds = 0.0
         self._ahead = None      # (zs, lo, U, w): a chunk's rows from zs[lo] on
         self._swept = None      # (U, w, kept, bad) of the block being swept
@@ -377,30 +373,28 @@ def _givens_factor(bands, zs, out=None):
     return U, w
 
 
-def _factor(A, z=None, schur=False):
-    """(kind, block factor, entries) for _sigma_min_shifts on A: the
-    stacked tridiagonal QR when A is exactly tridiagonal and schur is not
-    set; otherwise the shared Schur factor, or without schur and for the
-    one shift z, the LU factor of A - z.  entries caps the blocks.
+def _factor(A, s, z=None, schur=False):
+    """(kind, block factor, entries) for _sigma_min_shifts on A of
+    structure s: the stacked tridiagonal QR when s.tridiagonal and not
+    schur; else the shared Schur factor (real when s.real), or without
+    schur and for one shift z, the LU factor of A - z.
 
     factor(zs, lo, hi) prepares the block zs[lo:hi] of the shift array
     zs (all of it by default) and returns its solve; the tridiagonal
     factor reads the shifts after the block to factor them ahead."""
-    bands = None if schur else _tridiagonal_bands(A)
-    if bands is not None:
-        return ("tridiagonal", _TridiagonalFactor(bands),
-                min(_STACK_ENTRIES, _SHIFT_ENTRIES))
+    if s.tridiagonal and not schur:
+        return "tridiagonal", _TridiagonalFactor(A), _STACK_ENTRIES
     if z is not None and not schur:
         solve = _lu_solves(A, z)
         return "lu", lambda zs, lo=0, hi=None: solve, _SHIFT_ENTRIES
-    solves = _schur_solves(A)
+    solves = _schur_solves(A, s.real)
     return ("schur", lambda zs, lo=0, hi=None: lambda X, rows:
             solves(X.T.copy(), zs[lo:hi][rows]).T, _SHIFT_ENTRIES)
 
 
-def _sigma_min_shifts(A, zs, kind, factor, entries, strict=False):
+def _sigma_min_shifts(A, s, zs, kind, factor, entries, strict=False):
     """sigma_min(A - z) for every shift z in zs by inverse Lanczos, on the
-    factor of kind kind (see _factor).
+    factor of kind kind of A, of structure s (see _factor).
 
     Blocks of at most entries // M shifts advance together, one Lanczos
     vector per shift in the rows of a (shifts, M) array: C-ordered for
@@ -415,15 +409,15 @@ def _sigma_min_shifts(A, zs, kind, factor, entries, strict=False):
     a block start from one seed vector, each running the three-term
     Lanczos recurrence on its own B_j.  After step k a shift's largest
     Ritz value theta (top eigenvalue of its k x k tridiagonal, unit
-    eigenvector y) has residual
-    ||B_j v - theta v|| = beta_k |y_k|; once that is at most
-    SIGMA_TOL * theta the shift leaves the active set with
-    sigma = theta^{-1/2}, and the kept rows past the new active count
-    move into the finished shifts' slots.  A shift stops before its top
-    Ritz pair loses orthogonality, so no reorthogonalization is done.  A
-    non-finite solve, or SIGMA_MAX_ITER steps, fails a shift: it takes
-    the SVD of A - z (or raises ConvergenceError when strict).  Returns
-    (sigma, indices of the SVD fallbacks, steps run by each shift).
+    eigenvector y) has residual ||B_j v - theta v|| = beta_k |y_k|; once
+    that is at most SIGMA_TOL * theta the shift leaves the active set
+    with sigma = theta^{-1/2}, and the kept rows past the new active
+    count move into the finished shifts' slots.  A shift stops before
+    its top Ritz pair loses orthogonality, so no reorthogonalization is
+    done.  A non-finite solve, or SIGMA_MAX_ITER steps, fails a shift:
+    it takes the SVD of A - z (band or dense, see _sigma_min_svd), or
+    raises ConvergenceError when strict.  Returns (sigma, indices of the
+    SVD fallbacks, steps run by each shift).
     """
     zs = np.asarray(zs, dtype=complex)
     M = A.shape[0]
@@ -473,7 +467,7 @@ def _sigma_min_shifts(A, zs, kind, factor, entries, strict=False):
     if strict and failed.size:
         raise ConvergenceError("inverse Lanczos did not converge")
     for k in failed:
-        sigma[k] = _sigma_min_svd(A, zs[k])
+        sigma[k] = _sigma_min_svd(A, s, zs[k])
     return sigma, failed, steps
 
 
@@ -533,23 +527,25 @@ def resolvent_norm(P: OperatorMatrix | np.ndarray, z: complex,
                    method: str = "auto"):
     """sigma_min(P - z I) = 1 / ||(P - z)^{-1}||.
 
-    method "svd" is a direct SVD of P - z: the band SVD when P is a band
-    matrix with kl + ku <= M // _BAND_RATIO (see _sigma_min_band), the
-    dense one otherwise.  The others run inverse Lanczos: "auto" and
-    "lu" on an LU factor of P - z (LAPACK's O(M) tridiagonal LU, gttrf,
-    when P is exactly tridiagonal), falling back to that SVD on failure,
-    a zero pivot included; "schur"
-    on a complex Schur factor, raising ConvergenceError instead.  For
-    one z the LU factor costs a fraction of the Schur form.
+    method "svd" is a direct SVD of P - z, band or dense as P's structure
+    says (see _scan).  "auto" and "lu" run inverse Lanczos on an LU
+    factor of P - z (gttrf's O(M) one when P is exactly tridiagonal) and
+    fall back to that SVD on failure, a zero pivot included; "schur"
+    runs it on a Schur factor and raises ConvergenceError instead.  For
+    one z the LU factor costs a fraction of the Schur form.  A raw
+    ndarray is scanned here, and an inf or nan in it raises ValueError.
     """
     if method not in ("svd", "auto", "lu", "schur"):
         raise ValueError(f"unknown resolvent_norm method {method!r}; "
                          "expected 'svd', 'auto', 'lu' or 'schur'")
     A = P.matrix if isinstance(P, OperatorMatrix) else np.asarray(P)
+    s = P._structure if isinstance(P, OperatorMatrix) else _scan(A)
+    if not s.finite:
+        raise ValueError("array must not contain infs or NaNs")
     with single_thread_below(A.shape[0]):
         if method == "svd":
-            return _sigma_min_svd(A, z)
-        sigma = _sigma_min_shifts(A, [z], *_factor(A, z, schur=method == "schur"),
+            return _sigma_min_svd(A, s, z)
+        sigma = _sigma_min_shifts(A, s, [z], *_factor(A, s, z, schur=method == "schur"),
                                   strict=method == "schur")[0]
     return float(sigma[0])
 
@@ -577,24 +573,21 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
     """sigma_min(P - z) over a rectangular z-grid.
 
     rectangle = (re_min, re_max, im_min, im_max); shape = (n_re, n_im).
-    One Schur factorization serves every node, or, for an exactly
-    tridiagonal P, one Givens QR factor per node, computed in chunks of
-    up to _FACTOR_ENTRIES // M nodes and kept as a unit triangular band
-    and a real scaling, stacked block by block (timing["factor"] names
-    which, None with force_svd; timing["factorization_s"] counts each
-    chunk once; see _TridiagonalFactor); the nodes advance together
-    through the blocked inverse Lanczos, whose Ritz step computes no
-    eigenvectors (see _top_ritz), and nodes that fail it fall back to a
-    direct SVD, band or dense as in resolvent_norm(method="svd") (count
-    logged in timing).  The step histogram is timing["sigma_steps"]:
-    entry k counts the nodes that stopped after k + 1 steps (empty with
-    force_svd).  force_svd takes the dense SVD at every node, band
-    matrices included.  Values below the floor FLOOR_FACTOR * eps *
-    ||P|| are clamped to it and flagged; ||P|| is P.norm(), which a
-    tridiagonal P takes from its bands.  threads is only recorded in timing:
-    neither the work nor the output depends on it.  The BLAS thread
-    count the kernels ran at (one below _blas.SINGLE_THREAD_BELOW, None
-    when it cannot be set) is recorded as blas_threads.
+    The nodes advance together through the blocked inverse Lanczos (see
+    _sigma_min_shifts) on one Schur factor or, for an exactly tridiagonal
+    P, one Givens QR factor per node (see _TridiagonalFactor):
+    timing["factor"] names which (None with force_svd), and
+    timing["factorization_s"] counts each chunk of the factor once.  Nodes
+    that fail it fall back to a direct SVD, band or dense as in
+    resolvent_norm(method="svd") (count logged in timing).  The step
+    histogram is timing["sigma_steps"]: entry k counts the nodes that
+    stopped after k + 1 steps (empty with force_svd).  force_svd takes the
+    dense SVD at every node, band matrices included.  Values below the
+    floor FLOOR_FACTOR * eps * ||P|| (P.norm()) are clamped to it and
+    flagged.  threads is only recorded in timing: neither the work nor the
+    output depends on it.  The BLAS thread count the kernels ran at (one
+    below _blas.SINGLE_THREAD_BELOW, None when it cannot be set) is
+    recorded as blas_threads.
     """
     re_min, re_max, im_min, im_max = map(float, rectangle)
     n_re, n_im = shape
@@ -602,7 +595,7 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
         raise ValueError("rectangle is degenerate")
     re = np.linspace(re_min, re_max, n_re)
     im = np.linspace(im_min, im_max, n_im)
-    A = P.matrix
+    A, s = P.matrix, P._structure
     zs = (re[:, None] + 1j * im[None, :]).ravel()
     with single_thread_below(A.shape[0]) as blas_threads:
         floor = FLOOR_FACTOR * np.finfo(float).eps * max(P.norm(), 1e-300)
@@ -612,9 +605,9 @@ def pseudospectrum_grid(P: OperatorMatrix, rectangle, shape, threads: int = 1,
             sigma = np.array([_sigma_min_dense(A, z) for z in zs])
             failed, steps = [], np.zeros(0, int)
         else:
-            kind, factor, entries = _factor(A)
+            kind, factor, entries = _factor(A, s)
             t_factor = time.perf_counter() - t0
-            sigma, failed, steps = _sigma_min_shifts(A, zs, kind, factor, entries)
+            sigma, failed, steps = _sigma_min_shifts(A, s, zs, kind, factor, entries)
             if kind == "tridiagonal":        # factored block by block
                 t_factor += factor.seconds
         t_sweep = time.perf_counter() - t0 - t_factor

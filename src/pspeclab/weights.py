@@ -330,8 +330,7 @@ def conjugate_operator(P: OperatorMatrix, G, eps: float, h: float,
                 raise ConditioningError(
                     f"weight too strong for this basis: cond(E) = {cond:.3e}")
         Pe_mat = E @ P.matrix @ Einv
-        Pe = OperatorMatrix(Pe_mat, h, P.basis,
-                            provenance=f"conjugate(eps={eps})", meta=dict(P.meta))
+        Pe = OperatorMatrix(Pe_mat, h, P.basis, provenance=f"conjugate(eps={eps})")
         displacement = None
         if compare_spectra and P.size <= 600:
             a = eigendecompose(P).accepted_eigenvalues
@@ -430,12 +429,12 @@ def dissipative_build(q: SymbolExpr, a, disc, h: float
     if defect > 1e-10:
         raise PspecError(f"Hermiticity defect of Q too large: {defect:.3e}")
     Qm = (Q.matrix + Q.matrix.conj().T) / 2
-    Q = OperatorMatrix(Qm, h, disc, provenance=Q.provenance, meta=dict(Q.meta))
+    Q = OperatorMatrix(Qm, h, disc, provenance=Q.provenance)
     W = wick_quantize(a, disc, h)
     Wm = (W.matrix + W.matrix.conj().T) / 2
     with single_thread_below(disc.size):
         wmin = float(np.linalg.eigvalsh(Wm).min())
-    W = OperatorMatrix(Wm, h, disc, provenance=W.provenance, meta=dict(W.meta))
+    W = OperatorMatrix(Wm, h, disc, provenance=W.provenance)
     P = OperatorMatrix(Qm - 1j * Wm, h, disc, provenance="dissipative")
     return DissipativeOperator(Q, W, P, defect, wmin, n)
 

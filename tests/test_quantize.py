@@ -13,7 +13,7 @@ from pspeclab.quantize import (
     OperatorMatrix,
     _bandwidths,
     _mccoy_1d,
-    _tridiagonal_bands,
+    _scan,
     fbi_transform,
     gaussian_smooth_poly,
     hermite_functions,
@@ -842,19 +842,19 @@ def _tridiagonals():
 
 def test_tridiagonal_norm_is_the_dense_svd():
     # the norm of tridiagonal matrices, the band SVD's where the band
-    # rule admits them (see _band_widths), against the dense SVD
+    # rule admits them (see _scan), against the dense SVD
     mats = _tridiagonals()
     shifted, complex_ = mats[4], mats[7]      # at M = 60
-    sub, _, sup = _tridiagonal_bands(shifted)
+    sub, sup = np.diagonal(shifted, -1), np.diagonal(shifted, 1)
     assert not shifted.imag.any() and complex_.imag.any()
     assert not np.allclose(np.abs(sup), np.abs(sub))
     for A in mats:
-        assert _tridiagonal_bands(A) is not None
+        assert _scan(A).tridiagonal
         norm = OperatorMatrix(A, 0.1, None).norm()
         ref = np.linalg.norm(A, 2)
         assert abs(norm - ref) <= 1e-14 * ref, (A.shape, norm, ref)
     zero = OperatorMatrix(np.zeros((5, 5), dtype=complex), 0.1, None)
-    assert _tridiagonal_bands(zero.matrix) is not None
+    assert zero._structure.tridiagonal
     assert zero.norm() == 0.0 and type(zero.norm()) is float
 
 
@@ -865,7 +865,7 @@ def test_norm_off_the_bands_is_the_dense_svd_bytes():
             rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)),
             np.array([[1.0, 2.0], [3.0, 4.0j]])]       # below order 3
     for A in mats:
-        assert _tridiagonal_bands(A) is None
+        assert not _scan(A).tridiagonal
         norm = OperatorMatrix(A, 0.1, None).norm()
         assert norm.hex() == float(np.linalg.norm(A, 2)).hex()
 
@@ -907,7 +907,7 @@ def test_bandwidths_are_the_tightest_band():
     assert _bandwidths(np.zeros((6, 6)), 0) == (0, 0)
     # the tridiagonal test is the band test at kl = ku = 1
     upper2 = np.diag(np.ones(5)) + np.diag(np.ones(3), 2)
-    assert _bandwidths(upper2, 2) == (0, 2) and _tridiagonal_bands(upper2) is None
+    assert _bandwidths(upper2, 2) == (0, 2) and not _scan(upper2).tridiagonal
 
 
 def test_bandwidths_make_no_square_temporary():
@@ -921,3 +921,19 @@ def test_bandwidths_make_no_square_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 5
+
+
+def test_construction_makes_no_square_temporary():
+    # building an operator scans a tridiagonal matrix's non-zeros and then
+    # its three diagonals alone, so it allocates less than M^2 bytes
+    M = 2000
+    A = np.zeros((M, M))                                              # 32 MB
+    A.flat[::M + 1], A.flat[1::M + 1], A.flat[M::M + 1] = np.arange(M), 2.0, 0.5
+    tracemalloc.start()
+    try:
+        op = OperatorMatrix(A, 0.1, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op._structure.tridiagonal and op._structure.real
+    assert peak < M * M

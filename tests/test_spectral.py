@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from pspeclab import _blas, quantize, repro, spectral
-from pspeclab.errors import ConvergenceError, PspecError
+from pspeclab.errors import ConvergenceError, NonFiniteError, PspecError
 from pspeclab.quantize import (
     FourierGrid,
     HermiteBasis,
@@ -146,7 +146,7 @@ def test_tridiagonal_grid_matches_the_schur_path(monkeypatch):
     # stacked LU agrees with the Schur path node by node, in stacks of 5
     # shifts (compacted as shifts finish) as in one stack
     op = weyl_quantize_poly(ROT, HermiteBasis(60), h=0.1)
-    assert spectral._tridiagonal_bands(op.matrix) is not None
+    assert op._structure.tridiagonal
     rect, shape = (0.0, 1.0, -0.4, 0.4), (9, 7)
     grid = pseudospectrum_grid(op, rect, shape)
     monkeypatch.setattr(spectral, "_STACK_ENTRIES", 60 * 5)
@@ -167,7 +167,7 @@ def test_tridiagonal_solves_are_the_dense_solves_and_leave_x_alone():
     # block and after it is compacted to one shift; X keeps its bytes
     A = weyl_quantize_poly(ROT, HermiteBasis(40), h=0.1).matrix
     zs = np.array([0.5 + 0.2j, 1.3 - 0.1j, 0.3 + 0.4j])
-    kind, factor, _ = spectral._factor(A)
+    kind, factor, _ = spectral._factor(A, quantize._scan(A))
     assert kind == "tridiagonal"
     solve = factor(zs)
     rng = np.random.default_rng(3)
@@ -209,7 +209,7 @@ def test_givens_factor_is_a_qr_of_every_shift():
                    [0.1 + 0.1j, -0.7 + 0.3j, 1.5 - 2.0j]),
     }
     for name, (A, zs) in cases.items():
-        factor = spectral._TridiagonalFactor(spectral._tridiagonal_bands(A))
+        factor = spectral._TridiagonalFactor(A)
         runs, w = spectral._givens_factor(factor.bands, np.array(zs, dtype=complex))
         assert runs.shape == (len(zs), M, 3) and w.shape == (len(zs), M)
         assert not runs[:, 0, :2].any() and not runs[:, 1, 0].any()    # no couplings
@@ -229,7 +229,7 @@ def test_exact_eigenvalue_gets_an_identity_block():
     op = weyl_quantize_poly(OSC, HermiteBasis(64), h=0.1)
     A = op.matrix
     zs = np.array([0.25 + 0.05j, 0.3, 0.35 - 0.05j])
-    kind, factor, _ = spectral._factor(A)
+    kind, factor, _ = spectral._factor(A, quantize._scan(A))
     assert kind == "tridiagonal"
     with np.errstate(all="ignore"):
         _, w = spectral._givens_factor(factor.bands, zs)
@@ -242,7 +242,8 @@ def test_exact_eigenvalue_gets_an_identity_block():
         C = A - zs[j] * np.eye(64)
         ref = np.linalg.solve(C, np.linalg.solve(C.conj().T, X[j]))
         assert np.abs(Y[j] - ref).max() <= 1e-12 * np.abs(ref).max()
-    sigma, failed, _ = spectral._sigma_min_shifts(A, zs, kind, factor, 10 ** 4)
+    sigma, failed, _ = spectral._sigma_min_shifts(A, op._structure, zs, kind, factor,
+                                                  10 ** 4)
     assert failed.tolist() == [1]
     assert sigma[1] == resolvent_norm(op, 0.3, method="svd")
     assert np.isfinite(sigma).all()
@@ -299,7 +300,7 @@ def test_tridiagonal_solves_meet_a_refined_reference():
     zs = np.array([0.35 + 1e-3j, 0.55 - 1e-2j, 0.75 + 0.05j, 0.95 - 0.02j,
                    1.3 - 0.1j, 1.5 + 0.01j, 2.2 + 0.1j, 2.6 - 0.05j,
                    1.8 + 0.4j, 0.5 + 0.2j, 0.3 + 0.4j, 0.45j])
-    solve = spectral._factor(A)[1](zs)
+    solve = spectral._factor(A, quantize._scan(A))[1](zs)
     rng = np.random.default_rng(12)
     X = rng.standard_normal((12, 36)) + 1j * rng.standard_normal((12, 36))
     Y = solve(X, np.arange(12))
@@ -315,9 +316,9 @@ def test_schur_method_still_builds_the_schur_factor(monkeypatch):
     op = weyl_quantize_poly(ROT, HermiteBasis(40), h=0.1)
     calls = []
 
-    def schur_T(A):
+    def schur_T(A, real):
         calls.append(A.shape)
-        return _schur_T(A)
+        return _schur_T(A, real)
 
     _schur_T = spectral._schur_T
     monkeypatch.setattr(spectral, "_schur_T", schur_T)
@@ -331,15 +332,16 @@ def test_schur_method_still_builds_the_schur_factor(monkeypatch):
 
 def test_structure_test_is_exact():
     A = weyl_quantize_poly(ROT, HermiteBasis(30), h=0.1).matrix
-    sub, diag, sup = spectral._tridiagonal_bands(A)
+    assert quantize._scan(A).tridiagonal
+    sub, diag, sup = (np.diagonal(A, k) for k in (-1, 0, 1))
     assert np.array_equal(np.diag(sub, -1) + np.diag(diag) + np.diag(sup, 1), A)
     B = A.copy()
     B[0, 29] = 1e-300                  # one entry off the bands
-    assert spectral._tridiagonal_bands(B) is None
-    assert spectral._tridiagonal_bands(A[:2, :2]) is None   # below gttrf's order
+    assert not quantize._scan(B).tridiagonal
+    assert not quantize._scan(A[:2, :2]).tridiagonal   # below gttrf's order
     # a quartic symbol has bands at offsets 2 and 4: the Schur path
     quartic = weyl_quantize_poly(parse_symbol("xi1^2 + x1^4", 1), HermiteBasis(30), 0.1)
-    assert spectral._tridiagonal_bands(quartic.matrix) is None
+    assert not quartic._structure.tridiagonal
 
 
 def _eigh_ritz(ab):
@@ -448,7 +450,7 @@ def test_schur_solve_is_the_row_formula():
     rng = np.random.default_rng(5)
     zs = rng.uniform(-1, 2, 9) + 1j * rng.uniform(-1, 1, 9)
     X = rng.standard_normal((70, 9)) + 1j * rng.standard_normal((70, 9))
-    T = spectral._schur_T(A)
+    T = spectral._schur_T(A, quantize._scan(A).real)
     TH, d = np.ascontiguousarray(T.conj().T), np.diag(T)
     blocks = [(s, min(s + spectral._BLOCK, 70)) for s in range(0, 70, spectral._BLOCK)]
     ref = X.copy()
@@ -460,7 +462,8 @@ def test_schur_solve_is_the_row_formula():
         ref[s:e] -= T[s:e, e:] @ ref[e:]
         for i in range(e - 1, s - 1, -1):
             ref[i] = (ref[i] - T[i, i + 1:e] @ ref[i + 1:e]) / (d[i] - zs)
-    assert spectral._schur_solves(A)(X, zs).tobytes() == ref.tobytes()
+    solves = spectral._schur_solves(A, quantize._scan(A).real)
+    assert solves(X, zs).tobytes() == ref.tobytes()
 
 
 def test_real_schur_factor_is_triangular_and_similar():
@@ -468,7 +471,7 @@ def test_real_schur_factor_is_triangular_and_similar():
     # quasi-triangular form, with each 2x2 block split by a rotation
     A = weyl_quantize_poly(ROT, HermiteBasis(200), h=0.05).matrix
     assert A.dtype == complex and not A.imag.any()
-    T = spectral._schur_T(A)
+    T = spectral._schur_T(A, quantize._scan(A).real)
     assert T.dtype == complex and np.array_equal(T, np.triu(T))
     assert np.linalg.norm(T) == pytest.approx(np.linalg.norm(A), rel=1e-14)
     a = np.array(A.real, order="F")
@@ -487,16 +490,17 @@ def test_complex_schur_factor_is_scipys():
     A = weyl_quantize_grid(ROT, FourierGrid(2.5, 64), 0.1, xi_limit=1.0,
                            tail_frac_tol=1.0).matrix
     assert A.imag.any()
-    T = spectral._schur_T(A)
+    T = spectral._schur_T(A, quantize._scan(A).real)
     assert T.tobytes() == scipy.linalg.schur(A, output="complex")[0].tobytes()
 
 
 def test_real_grid_does_not_depend_on_the_storage_dtype():
-    # the factor depends on the values only; the norm (and with it the
-    # floor) comes from LAPACK per dtype, so both share the complex one
+    # the factor depends on the values only, and so does the norm (and
+    # with it the floor): the band norm builds complex band storage from
+    # either dtype
     op = weyl_quantize_poly(ROT, HermiteBasis(80), h=0.1)
-    real = OperatorMatrix(op.matrix.real.copy(), op.h, op.basis,
-                          meta={"norm2": op.norm()})
+    real = OperatorMatrix(op.matrix.real.copy(), op.h, op.basis)
+    assert real.norm().hex() == op.norm().hex()
     rect, shape = (-0.5, 2.0, -1.0, 1.0), (9, 7)
     g_complex = pseudospectrum_grid(op, rect, shape)
     g_real = pseudospectrum_grid(real, rect, shape)
@@ -622,7 +626,7 @@ for name, symbol in (("rotated", "xi1^2 + xi1*1i + x1^2"),
     op = weyl_quantize_poly(parse_symbol(symbol, 1), HermiteBasis(400), 0.025)
     A = op.matrix
     runs["band"][name] = {
-        "widths": spectral._bandwidths(A, 400 // spectral._BAND_RATIO),
+        "widths": op._structure.band,
         "norm": op.norm().hex(),
         "sigma": [spectral.resolvent_norm(A, z, method="svd").hex()
                   for z in (2 + 1j, 0.5 + 0.3j, 3.0 - 0.2j, 1.0)]}
@@ -1147,6 +1151,27 @@ def _recording(fn, calls):
     return spy
 
 
+@pytest.mark.parametrize("build", [
+    lambda: weyl_quantize_poly(ROT, HermiteBasis(60), h=0.1),
+    lambda: weyl_quantize_grid(ROT, FourierGrid(2.5, 48), 0.1, xi_limit=1.0,
+                               tail_frac_tol=1.0)], ids=["tridiagonal", "dense"])
+def test_one_operator_is_scanned_once(monkeypatch, build):
+    # a grid, a spectrum and eight single-shift SVDs read the structure
+    # the operator's construction found; none scans the matrix again
+    scans, walks = [], []
+    scan = quantize._scan
+    for module in (quantize, spectral):
+        monkeypatch.setattr(module, "_scan", _recording(scan, scans))
+    monkeypatch.setattr(quantize, "_bandwidths",
+                        _recording(quantize._bandwidths, walks))
+    op = build()
+    pseudospectrum_grid(op, (0.0, 1.0, -0.4, 0.4), (4, 3))
+    eigendecompose(op)
+    for z in np.linspace(0.0, 2.0, 8) + 0.3j:
+        resolvent_norm(op, z, method="svd")
+    assert len(scans) == len(walks) == 1
+
+
 @pytest.mark.parametrize("symbol, widths", [("xi1^2 + xi1*1i + x1^2", (1, 1)),
                                             ("xi1^2 + 1i*x1^2", (2, 2))])
 def test_band_svd_meets_a_40_digit_svd(symbol, widths):
@@ -1155,7 +1180,7 @@ def test_band_svd_meets_a_40_digit_svd(symbol, widths):
     # for comparison
     mpmath = pytest.importorskip("mpmath")
     A = weyl_quantize_poly(parse_symbol(symbol, 1), HermiteBasis(24), 0.1).matrix
-    assert spectral._bandwidths(A, 24) == widths
+    assert quantize._bandwidths(A, 24) == widths
     bound = 2 * np.finfo(float).eps * np.linalg.norm(A, 2)
     for z in (0.9 + 0.4j, 2.0 + 1.0j):
         B = A - z * np.eye(24)
@@ -1171,10 +1196,23 @@ def test_band_svd_meets_a_40_digit_svd(symbol, widths):
 
 
 def test_band_svd_rejects_non_finite_bands():
+    # a raw ndarray raises ValueError on every path
     A = weyl_quantize_poly(ROT, HermiteBasis(60), 0.1).matrix.copy()
     A[7, 8] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        resolvent_norm(A, 0.5 + 0.5j, method="svd")
+    for method in ("svd", "auto", "lu", "schur"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            resolvent_norm(A, 0.5 + 0.5j, method=method)
+
+
+def test_operator_matrix_rejects_non_finite_bands():
+    # an OperatorMatrix refuses the same matrix when it is built, and a
+    # nan off the band, which makes the matrix dense to the scan
+    A = weyl_quantize_poly(ROT, HermiteBasis(60), 0.1).matrix.copy()
+    for entry in ((7, 8), (0, 50)):
+        B = A.copy()
+        B[entry] = np.nan
+        with pytest.raises(NonFiniteError, match="non-finite entries"):
+            OperatorMatrix(B, 0.1, None)
 
 
 def _refuse(*args):

@@ -142,6 +142,18 @@ def test_conjugation_similarity_of_spectra():
     assert rep2.spectrum_displacement <= 1e-6 * rep2.cond
 
 
+def test_conjugated_operator_computes_its_own_norm():
+    # P's norm, once computed, is not handed on: P_eps takes its own
+    h = 0.1
+    P = weyl_quantize_poly(ROT, HermiteBasis(60), h)
+    P.norm()
+    Pe, _ = conjugate_operator(P, parse_symbol("x1*xi1", 1), eps=0.05, h=h,
+                               compare_spectra=False)
+    ref = np.linalg.norm(Pe.matrix, 2)
+    assert abs(Pe.norm() - ref) <= 1e-12 * ref
+    assert abs(Pe.norm() - P.norm()) > 1.0
+
+
 def test_conjugation_cond_cap():
     basis = HermiteBasis(200)
     h = 0.05
