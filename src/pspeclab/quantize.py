@@ -16,11 +16,12 @@ Three quantization paths:
 * ``wick_quantize`` — anti-Wick quantization, realized as Weyl
   quantization of the symbol convolved with the unit Gaussian
   pi^-1 e^{-|w|^2}.  Polynomials take the exact terminating heat flow.
-  Any other symbol is sampled once on the grid path's midpoint/dual
-  lattice, padded by the Gaussian window half-width, and smoothed by
-  two banded trapezoid weight matrices before the grid path's kernel
-  assembly; the window guard and the non-finite-sample guard refuse
-  runs the lattice cannot resolve.
+  Any other symbol is sampled on the grid path's midpoint/dual lattice,
+  padded by the Gaussian window half-width, with the dual axis thinned
+  to the midpoint spacing unless a check on the samples refuses it, and
+  smoothed by two banded trapezoid weight matrices before the grid
+  path's kernel assembly; the window guard and the non-finite-sample
+  guard refuse runs the lattice cannot resolve.
 
 ``FourierGrid.apply_weyl`` applies a polynomial symbol's grid operator
 to one vector without forming the matrix (McCoy ordering, FFTs for hD).
@@ -314,22 +315,34 @@ class _Band:
 def _bandwidths(A, most):
     """(kl, ku), the fewest sub- and super-diagonals that hold every
     non-zero of the square A, when kl + ku <= most; else None, at once if
-    diagonal +-(most + 1) holds one.  The non-zeros of A are counted once,
-    then those of each diagonal pair outward until the count is reached:
-    no M x M temporary is made and at most 2 most + 3 diagonals are read."""
+    diagonal +-(most + 1) holds one.  The non-zero components of A are
+    counted once (_nonzero_parts), then those of each diagonal pair
+    outward until the count is reached: no M x M temporary is made and at
+    most 2 most + 3 diagonals are read."""
     if np.diagonal(A, most + 1).any() or np.diagonal(A, -most - 1).any():
         return None
-    left = np.count_nonzero(A) - np.count_nonzero(np.diagonal(A))
+    left = _nonzero_parts(A) - _nonzero_parts(np.diagonal(A))
     kl = ku = 0
     for k in range(1, most + 1):
         if not left:
             break
-        below, above = (np.count_nonzero(np.diagonal(A, s)) for s in (-k, k))
+        below, above = (_nonzero_parts(np.diagonal(A, s)) for s in (-k, k))
         left -= below + above
         kl, ku = (k if below else kl), (k if above else ku)
         if kl + ku > most:
             return None
     return None if left else (kl, ku)
+
+
+def _nonzero_parts(a):
+    """The non-zero real and imaginary parts of a, each counted once (a
+    -0.0 is zero); a contiguous complex a is counted as its real view,
+    at the speed of a real array of twice its length."""
+    if not np.iscomplexobj(a):
+        return np.count_nonzero(a)
+    if a.flags.c_contiguous:
+        return np.count_nonzero(a.view(a.real.dtype))
+    return np.count_nonzero(a.real) + np.count_nonzero(a.imag)
 
 
 # the band SVD beat the dense one (both on one thread) wherever
@@ -742,20 +755,35 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 30,
     """Anti-Wick quantization: Weyl quantization of a * unit Gaussian.
 
     Polynomial symbols use the exact terminating heat flow and either
-    basis.  A general symbol needs a FourierGrid (n = 1).  It is sampled
-    once on the grid path's midpoint/dual lattice (spacings L/M and
-    h pi/L) widened by the window half-width R on each side, and the
-    convolution c = a * pi^-1 e^{-|w|^2} is the trapezoid rule on that
-    lattice, truncated to |u|, |v| <= R: two banded Gaussian weight
-    matrices, xi first, then x.  Blocks of 2^14 samples keep the extra
-    working set near 1 MB with the symbol's temporaries.  The error is
-    about e^{-pi^2/dt^2} for a smooth symbol at spacing dt, plus the
-    Gaussian weight e^{-R^2} the window drops, and nothing wraps around,
-    since the lattice is padded rather than periodic.  A block of real
-    samples is smoothed in real arithmetic, and the x-smoothing stays
-    real while every block is real; complex samples take the product
-    over interleaved real and imaginary parts.  c then goes through the
-    grid path's kernel assembly (xi-limit 0), in blocks of its rows.
+    basis.  A general symbol needs a FourierGrid (n = 1).  The
+    convolution c = a * pi^-1 e^{-|w|^2} on the grid path's midpoint/dual
+    lattice (spacings L/M and h pi/L) is the trapezoid rule on a sample
+    lattice widened by the window half-width R on each side and
+    truncated to |u|, |v| <= R: two banded Gaussian weight matrices, xi
+    first, then x.  The samples take every midpoint in x but only every
+    m-th dual point in xi, m = max(1, floor((L/M) / (h pi/L))), the
+    largest multiple of the dual spacing within the midpoint spacing,
+    with weights m times the dual spacing.  The trapezoid error is set by
+    the spacing and the symbol's smoothness, e^{-pi^2/dt^2} for a smooth
+    symbol at spacing dt (Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385-458) and a power of dt at a kink, so the coarser midpoint axis
+    sets it, plus the Gaussian weight e^{-R^2} the window drops; nothing
+    wraps around, since the lattice is padded rather than periodic.
+
+    Stride m > 1 is checked on every call from the samples it took: xi
+    is re-smoothed on its even-indexed samples (stride 2m, weights
+    doubled), x on its even-indexed ones (stride 2), and stride m is kept
+    only when the largest xi change, taken before the x smoothing, whose
+    rows sum to about 1, is at most the x change or 2^-40 max|c|.  Else
+    the lattice is rebuilt at stride 1, sampling the symbol 1 + 1/m
+    times in all; stride 1 is the full dual lattice, with the bytes of a
+    run that never coarsens.  Blocks of 2^14 samples keep the extra
+    working set near 1 MB with the symbol's temporaries.  A block of
+    real samples is smoothed in real arithmetic, and the x-smoothing
+    stays real while every block is real; complex samples take the
+    product over interleaved real and imaginary parts.  c then goes
+    through the grid path's kernel assembly (xi-limit 0), in blocks of
+    its rows.
 
     gh_nodes sets R, the largest node of the gh_nodes-point
     Gauss-Hermite rule.  The default 30 gives R = 6.863, where the
@@ -780,32 +808,67 @@ def wick_quantize(a, basis, h: float, gh_nodes: int = 30,
             f"integration window too small: Gaussian tail mass {tail:.1e} "
             f"(increase gh_nodes)")
     M, L = basis.M, basis.L
-    pad_x = math.ceil(R * M / L)
-    pad_xi = math.ceil(R * L / (h * np.pi))
-    x = -L + L * np.arange(-pad_x, 2 * M + pad_x) / M
-    xi = h * np.pi * np.arange(-(M // 2) - pad_xi, (M - 1) // 2 + pad_xi + 1) / L
-    Gx = _gaussian_band(2 * M, pad_x, L / M)
-    Gxi = _gaussian_band(M, pad_xi, h * np.pi / L)
-    # smooth in xi one block of lattice columns x[cols] at a time
-    # (samples indexed [xi, x]), then in x
-    smooth_xi = np.empty((x.size, M))
-    step = max(1, 2 ** 14 // xi.size)
     with single_thread_below(M):
-        for r in range(0, x.size, step):
-            cols = slice(r, r + step)
-            block = _lattice_samples(a, x[None, cols], xi[:, None])
-            block = np.broadcast_to(block, (xi.size, x[cols].size))
-            _check_finite(block, "symbol evaluation failed on the Wick lattice")
-            if block.dtype == complex:
-                smooth_xi = smooth_xi.astype(complex, copy=False)
-                smooth_xi[cols] = _real_times_complex(Gxi, block).T
-            else:
-                smooth_xi[cols] = (Gxi @ np.ascontiguousarray(block)).T
-        c = (_real_times_complex(Gx, smooth_xi) if smooth_xi.dtype == complex
-             else Gx @ smooth_xi)
+        c = _wick_lattice(a, L, M, h, R, _dual_stride(L, M, h))
+        if c is None:
+            c = _wick_lattice(a, L, M, h, R, 1)
     A = _midpoint_kernel(lambda r: np.fft.ifftshift(c[r], axes=1), M,
                          tail_frac_tol)
     return OperatorMatrix(A, h, basis, provenance="wick(lattice)")
+
+
+# a change along xi below this fraction of max|c| keeps the dual stride
+# whatever the change along x
+_STRIDE_FLOOR = 2.0 ** -40
+
+
+def _dual_stride(L, M, h):
+    """The largest multiple of the dual spacing h pi / L within the
+    midpoint spacing L / M, and at least 1."""
+    return max(1, math.floor((L / M) / (h * math.pi / L)))
+
+
+def _wick_lattice(a, L, M, h, R, stride):
+    """The smoothed symbol c, (2M, M) with a row per midpoint and the
+    dual points in ascending order, from samples at every midpoint and
+    every stride-th dual point of the lattice padded by R; None when
+    stride > 1 and the half-density check of wick_quantize rejects the
+    stride."""
+    pad_x = math.ceil(R * M / L)
+    pad_xi = math.ceil(R * L / (h * np.pi))
+    Gx = _gaussian_band(2 * M, pad_x, L / M)
+    # the dual points k h pi / L, k >= k0, that are multiples of stride,
+    # so a wider window adds points without moving any
+    k0 = -(M // 2) - pad_xi
+    first = -k0 % stride
+    Gxi = _gaussian_band(M, pad_xi, h * np.pi / L, stride, first)
+    x = -L + L * np.arange(-pad_x, 2 * M + pad_x) / M
+    xi = h * np.pi * np.arange(k0 + first, k0 + first + stride * Gxi.shape[1], stride) / L
+    checked = stride > 1
+    if checked:
+        Gxi_half = 2 * Gxi[:, ::2]
+    # smooth in xi one block of lattice columns x[cols] at a time
+    # (samples indexed [xi, x]), then in x
+    smooth_xi = np.empty((x.size, M))
+    change = 0.0
+    step = max(1, 2 ** 14 // xi.size)
+    for r in range(0, x.size, step):
+        cols = slice(r, r + step)
+        block = _lattice_samples(a, x[None, cols], xi[:, None])
+        block = np.broadcast_to(block, (xi.size, x[cols].size))
+        _check_finite(block, "symbol evaluation failed on the Wick lattice")
+        if block.dtype == complex:
+            smooth_xi = smooth_xi.astype(complex, copy=False)
+        smooth_xi[cols] = _weighted(Gxi, block).T
+        if checked:
+            half = _weighted(Gxi_half, block[::2]).T
+            change = max(change, np.abs(half - smooth_xi[cols]).max())
+    c = _weighted(Gx, smooth_xi)
+    if checked and change > _STRIDE_FLOOR * np.abs(c).max():
+        half = _weighted(2 * Gx[:, ::2], smooth_xi[::2])
+        if change > np.abs(half - c).max():
+            return None
+    return c
 
 
 @functools.cache
@@ -842,24 +905,29 @@ def _wick_poly(a, basis):
     return None
 
 
-def _gaussian_band(n, pad, dt):
-    """(n, n + 2 pad) trapezoid weights dt pi^-1/2 e^{-t^2} of the unit
-    Gaussian at t = (i + pad - k) dt, zero beyond |t| = pad dt: row i
-    averages lattice points i .. i + 2 pad around output point i."""
-    g = dt / math.sqrt(math.pi) * np.exp(-(dt * np.arange(-pad, pad + 1)) ** 2)
-    G = np.zeros((n, n + 2 * pad))
-    # row i's run starts at flat index i (n + 2 pad + 1)
-    step = G.strides[1]
-    as_strided(G, (n, 2 * pad + 1), ((n + 2 * pad + 1) * step, step))[:] = g
-    return G
+def _gaussian_band(n, pad, dt, stride=1, first=0):
+    """(n, k) trapezoid weights stride dt pi^-1/2 e^{-t^2} of the unit
+    Gaussian on the points first, first + stride, ... of a lattice of
+    n + 2 pad points: column j holds lattice point p = first + j stride,
+    at t = (i + pad - p) dt from output point i, and is zero beyond
+    |t| = pad dt; the k columns run to the lattice's end.  At stride 1,
+    row i averages lattice points i .. i + 2 pad around output point i."""
+    g = stride * dt / math.sqrt(math.pi) * np.exp(-(dt * np.arange(-pad, pad + 1)) ** 2)
+    k = (n + 2 * pad - 1 - first) // stride + 1
+    # G[i, j] = z[n - 1 - i + p], z holding g from index n - 1
+    z = np.zeros(2 * n + 2 * pad - 1)
+    z[n - 1: n + 2 * pad] = g
+    step = z.strides[0]
+    return as_strided(z[n - 1 + first:], (n, k), (-step, stride * step)).copy()
 
 
-def _real_times_complex(G, C):
-    """G @ C for real G and complex C as one real product over the
-    interleaved real and imaginary parts (numpy's mixed-type matmul
-    bypasses BLAS)."""
-    C = np.ascontiguousarray(C, dtype=complex)
-    return (G @ C.view(float)).view(complex)
+def _weighted(G, B):
+    """G @ B for real weights G and real or complex B; complex B is one
+    real product over its interleaved real and imaginary parts (numpy's
+    mixed-type matmul bypasses BLAS)."""
+    if B.dtype != complex:
+        return G @ np.ascontiguousarray(B)
+    return (G @ np.ascontiguousarray(B).view(float)).view(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import math
 import tracemalloc
 
@@ -316,9 +317,8 @@ def _whole_array_weyl_grid(p, grid, h, xi_limit):
     return A
 
 
-def _whole_array_wick(a, grid, h, monkeypatch):
-    """wick_quantize(a) and the whole-array kernel of the profile it
-    hands _midpoint_kernel."""
+def _wick_profile(a, grid, h, monkeypatch):
+    """wick_quantize(a) and the (2M, M) profile it hands _midpoint_kernel."""
     from pspeclab import quantize
 
     seen = []
@@ -331,7 +331,14 @@ def _whole_array_wick(a, grid, h, monkeypatch):
     monkeypatch.setattr(quantize, "_midpoint_kernel", spy)
     W = wick_quantize(a, grid, h).matrix
     monkeypatch.setattr(quantize, "_midpoint_kernel", kernel)
-    return W, _whole_array_kernel(seen[0])
+    return W, seen[0]
+
+
+def _whole_array_wick(a, grid, h, monkeypatch):
+    """wick_quantize(a) and the whole-array kernel of the profile it
+    hands _midpoint_kernel."""
+    W, profile = _wick_profile(a, grid, h, monkeypatch)
+    return W, _whole_array_kernel(profile)
 
 
 @pytest.mark.parametrize("entries", [None, 1 << 9], ids=["default", "small-blocks"])
@@ -734,6 +741,117 @@ def test_wick_lattice_samples_the_symbol_once(h):
 
 def _gaussian_symbol(X, XI):
     return np.exp(-X ** 2 - XI ** 2)
+
+
+def _wick_samples(a, L, M, h):
+    """wick_quantize(a) on FourierGrid(L, M) at h, with the sizes of its
+    symbol calls, and the full dual lattice's sample count (the default
+    window, R = 6.863)."""
+    sizes = []
+
+    def counting(X, XI):
+        sizes.append(np.broadcast(X, XI).size)
+        return a(X, XI)
+
+    W = wick_quantize(counting, FourierGrid(L, M), h).matrix
+    R = np.polynomial.hermite.hermgauss(30)[0].max()
+    lattice = ((2 * M + 2 * math.ceil(R * M / L))
+               * (M + 2 * math.ceil(R * L / (h * np.pi))))
+    return W, sizes, lattice
+
+
+@pytest.mark.parametrize("h, stride, fewer", [(0.05, 4, 4), (0.025, 9, 8.9)])
+def test_wick_lattice_samples_the_dual_axis_at_the_midpoint_spacing(h, stride, fewer):
+    # the dual spacing h pi / L is 4.9x and 9.7x finer than the midpoint
+    # spacing L / M here; the proximity damping keeps the coarse stride
+    from pspeclab import quantize
+
+    assert quantize._dual_stride(7.0, 64, h) == stride
+    _, sizes, lattice = _wick_samples(_proximity_damping, 7.0, 64, h)
+    assert len(sizes) <= 3
+    assert sum(sizes) <= lattice / fewer
+
+
+def _xi_kink_cubed(X, XI):
+    return np.maximum(XI ** 2 - 1.0, 0.0) ** 3 + 0 * X
+
+
+def _xi_kink_abs(X, XI):
+    return np.abs(XI - 0.3) + 0 * X
+
+
+# sha256 of W.tobytes() from the full dual lattice, computed before the
+# dual stride existed (one BLAS thread for M >= 352)
+_WICK_PINNED = {
+    ("xi-kink-cubed", 64, 0.05): "b42d100b0de87b666e550625c624772f32bf0a502221595189c492fd9ce0ea79",
+    ("xi-kink-cubed", 64, 0.025): "c9e887ac19c5bc49f433e74a7c4b7e93ed8e344a22ca90c5f96b78791856f1d6",
+    ("xi-kink-abs", 64, 0.05): "8942987b637b90242a8bc78efd51a87313d5e1f17425393a818aa4a9925a5725",
+    ("xi-kink-abs", 64, 0.025): "7768505792fc6625e2b45caaf1860d1f4525eeba4d38e5a8b7bb9b81b661b791",
+    ("proximity", 512, 0.025): "f6f28bf6a9b4fd512ce7ec80bb11e21d68b621ad5945be44e114d1deed35ca66",
+    ("proximity", 512, 0.05): "5d131c7580b3cc6e563df539700675907b99b4eea2afb3d7daea6eb57cc93468",
+    ("gaussian", 448, 0.1): "2cfd03d04466fd9d1d822d1a69b4fabde40018608d73f2042333903bdf3735ae",
+}
+_WICK_SYMBOLS = {"xi-kink-cubed": _xi_kink_cubed, "xi-kink-abs": _xi_kink_abs,
+                 "proximity": _proximity_damping, "gaussian": _gaussian_symbol}
+
+
+@pytest.mark.parametrize("name, M, h", [k for k in _WICK_PINNED if k[1] == 64])
+def test_wick_lattice_falls_back_on_a_kink_along_xi(name, M, h):
+    # the coarse stride's xi change (1e-6 to 1e-3 of max|c|) exceeds the
+    # x change (1e-15): the lattice is rebuilt at stride 1, sampling the
+    # symbol 1 + 1/m times, and W has the full lattice's bytes
+    W, sizes, lattice = _wick_samples(_WICK_SYMBOLS[name], 7.0, M, h)
+    assert lattice < sum(sizes) <= lattice * (1 + 1 / 4)
+    assert hashlib.sha256(W.tobytes()).hexdigest() == _WICK_PINNED[(name, M, h)]
+
+
+@pytest.mark.parametrize("name, M, h", [k for k in _WICK_PINNED if k[1] != 64])
+def test_wick_lattice_at_stride_one_keeps_its_bytes(name, M, h):
+    from pspeclab import quantize
+    from pspeclab._blas import single_thread_below
+
+    assert quantize._dual_stride(7.0, M, h) == 1
+    with single_thread_below(1):
+        W, sizes, lattice = _wick_samples(_WICK_SYMBOLS[name], 7.0, M, h)
+    assert sum(sizes) == lattice
+    assert hashlib.sha256(W.tobytes()).hexdigest() == _WICK_PINNED[(name, M, h)]
+
+
+def _refined_wick_profile(a, L, M, h, refine):
+    """The smoothed symbol on the (2M, M) midpoint/dual lattice in fft
+    order, by the trapezoid rule on the full dual lattice and an x
+    lattice `refine` times finer than the midpoint spacing, each padded
+    by R = 6.863."""
+    R = np.polynomial.hermite.hermgauss(30)[0].max()
+    dx, dxi = L / (refine * M), h * np.pi / L
+    pad_x, pad_xi = math.ceil(R / dx), math.ceil(R / dxi)
+    mids = -L + L * np.arange(2 * M) / M
+    x = -L + dx * np.arange(-pad_x, 2 * refine * M + pad_x)
+    xi_out = dxi * np.arange(-(M // 2), (M - 1) // 2 + 1)
+    xi = dxi * np.arange(-(M // 2) - pad_xi, (M - 1) // 2 + pad_xi + 1)
+    Gx = dx / math.sqrt(math.pi) * np.exp(-(mids[:, None] - x[None, :]) ** 2)
+    Gxi = dxi / math.sqrt(math.pi) * np.exp(-(xi_out[:, None] - xi[None, :]) ** 2)
+    smooth = np.concatenate([Gxi @ a(x[None, r:r + 256], xi[:, None])
+                             for r in range(0, x.size, 256)], axis=1)
+    return np.fft.ifftshift(Gx @ smooth.T, axes=1)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_wick_lattice_coarse_dual_axis_does_not_set_the_error(h, monkeypatch):
+    # against x refined 8x, the smoothed symbol is off by 5.5e-11 of its
+    # largest value on the full dual lattice, all of it from the midpoint
+    # spacing; the coarse dual stride adds at most a tenth of that
+    from pspeclab import quantize
+
+    grid = FourierGrid(7.0, 64)
+    ref = _refined_wick_profile(_proximity_damping, 7.0, 64, h, 8)
+    coarse = _wick_profile(_proximity_damping, grid, h, monkeypatch)[1]
+    monkeypatch.setattr(quantize, "_dual_stride", lambda L, M, h: 1)
+    full = _wick_profile(_proximity_damping, grid, h, monkeypatch)[1]
+    err_coarse, err_full = (np.abs(prof - ref).max() / np.abs(ref).max()
+                            for prof in (coarse, full))
+    assert err_full < 1e-10
+    assert err_coarse <= 1.1 * err_full
 
 
 @pytest.mark.parametrize("a_func, L, M, h", [
